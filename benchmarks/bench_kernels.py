@@ -14,7 +14,7 @@ import time
 
 from poset_ramsey._kernels import available_backends
 from poset_ramsey.posets import make_antichain, make_boolean_poset, make_chain
-from poset_ramsey.search import boolean_relation_masks, ground_permutation_tables
+from poset_ramsey.search import ground_permutation_tables
 
 
 def _tasks():
@@ -25,7 +25,7 @@ def _tasks():
 
 
 def _run(module, p, n, N, symmetry):
-    q_below, q_above = boolean_relation_masks(n)
+    q = make_boolean_poset(n)
     tables = ground_permutation_tables(N) if symmetry else []
     start = time.perf_counter()
     status, bits, nodes = module.witness_search(
@@ -33,8 +33,8 @@ def _run(module, p, n, N, symmetry):
         p.down,
         p.up,
         p.maximal_elements(),
-        q_below,
-        q_above,
+        q.down,
+        q.up,
         (1 << n) - 1,
         tables,
         1 << 34,

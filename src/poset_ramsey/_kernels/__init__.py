@@ -4,6 +4,10 @@ The compiled extension is preferred when importable; otherwise the
 pure-Python twin takes over.  ``POSET_RAMSEY_BACKEND=pure`` forces the
 fallback (useful for benchmarking and twin testing); ``=compiled`` makes a
 missing extension an import error instead of a silent downgrade.
+
+``find_induced_copy`` is the package's one induced-embedding search: blue
+and red copies in a colored lattice, copies between explicit posets, poset
+isomorphism and the spindle certificate check all go through it.
 """
 
 from __future__ import annotations
@@ -31,9 +35,18 @@ else:
             raise
         _impl = _pure
 
+#: Relation masks and host vertices are 64-bit words in the compiled twin.
+MAX_TARGET_SIZE = 64
+
 BACKEND_NAME: str = _impl.BACKEND_NAME
 find_induced_copy = _impl.find_induced_copy
 witness_search = _impl.witness_search
+
+
+def check_word_width(size: int, what: str) -> None:
+    """Reject a poset too large for the kernels' 64-bit relation words."""
+    if size > MAX_TARGET_SIZE:
+        raise ValueError(f"{what} posets are capped at {MAX_TARGET_SIZE} elements")
 
 
 def available_backends() -> dict[str, object]:

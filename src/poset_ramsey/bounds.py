@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from poset_ramsey.posets import MultipartiteSpec
 
@@ -309,8 +309,3 @@ def antichain_alpha(t: int) -> int:
     while math.comb(a, a // 2) < t:
         a += 1
     return a
-
-
-def compose_bound(f1_bound_at: Callable[[int], int], f2_value: int) -> int:
-    """Two-step composition: bound the outer target at the inner bound's value."""
-    return f1_bound_at(f2_value)

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from poset_ramsey import _kernels
 from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.lattice import (
     Coloring,
@@ -33,7 +34,6 @@ from poset_ramsey.posets import (
     SpindleSpec,
     check_chain_cover,
     dilworth_cover,
-    find_poset_copy,
     make_boolean_poset,
     make_spindle,
     max_antichain,
@@ -542,16 +542,12 @@ def check_spindle(cert: SpindleCert, coloring: Coloring) -> list[str]:
     if problems:
         return problems
     # Restriction check: the induced poset on the vertices hosts the shape.
-    masks = sorted(vertices)
-    up = []
-    for a in masks:
-        bits = 0
-        for j, b in enumerate(masks):
-            if a != b and pair_leq(a, b):
-                bits |= 1 << j
-        up.append(bits)
-    induced = Poset(len(masks), tuple(up))
-    if find_poset_copy(make_spindle(shape), induced) is None:
+    # The checks above already pin that order down, so a spindle too wide for
+    # the kernels' 64-bit words needs no search.
+    if shape.size > _kernels.MAX_TARGET_SIZE:
+        return problems
+    spindle = make_spindle(shape)
+    if _kernels.find_induced_copy(spindle.down, spindle.up, sorted(vertices)) is None:
         problems.append("induced poset does not realize the spindle shape")
     return problems
 

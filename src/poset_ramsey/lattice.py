@@ -48,13 +48,6 @@ class GroundSplit:
         return range(self.n, self.n + self.k)
 
 
-def split_parts(vertex: int, split: GroundSplit) -> tuple[int, int]:
-    """Decompose a vertex mask into its (X part, Y part)."""
-    if vertex < 0 or vertex >> split.total:
-        raise ValueError("vertex mask outside the ground set")
-    return vertex & split.x_mask, vertex & split.y_mask
-
-
 def pair_leq(a: int, b: int) -> bool:
     """Lattice order: a <= b exactly when a's bits are a subset of b's."""
     return (a & b) == a

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from poset_ramsey import _kernels
+
 #: Cap on size**2 for newly built Boolean-lattice posets.  Guards against
 #: accidentally materializing a dimension-11+ lattice as an explicit poset.
 DEFAULT_RELATION_BUDGET = 1 << 20
@@ -391,96 +393,40 @@ def check_chain_cover(p: Poset, cover: ChainCover) -> list[str]:
 def find_poset_copy(target: Poset, host: Poset) -> Embedding | None:
     """First induced copy of ``target`` inside ``host``, or None.
 
-    Backtracking assigns target elements in index order; candidates are
-    tried in ascending host index, so the result is deterministic.
+    Host element h stands for the mask of its closed down-set, an order
+    embedding of the host into a Boolean lattice, so the kernels' induced
+    copy search does the work.  Target elements are assigned in index order
+    and candidates tried in ascending mask order, which is ascending index
+    order when every element's down-set has smaller indices (as in every
+    constructor here).  Target and host are capped at 64 elements.
     """
-    m = target.size
-    if m == 0:
-        return Embedding(())
-    if m > host.size:
+    _kernels.check_word_width(target.size, "target")
+    _kernels.check_word_width(host.size, "host")
+    by_mask = sorted((host.down[h] | 1 << h, h) for h in range(host.size))
+    images = _kernels.find_induced_copy(
+        target.down, target.up, [mask for mask, _ in by_mask]
+    )
+    if images is None:
         return None
-    images = [-1] * m
-
-    def consistent(e: int, h: int) -> bool:
-        for f in range(m):
-            g = images[f]
-            if g == -1 or f == e:
-                continue
-            if g == h:
-                return False
-            if target.lt(f, e) != host.lt(g, h):
-                return False
-            if target.lt(e, f) != host.lt(h, g):
-                return False
-        return True
-
-    def assign(e: int) -> bool:
-        if e == m:
-            return True
-        for h in range(host.size):
-            if consistent(e, h):
-                images[e] = h
-                if assign(e + 1):
-                    return True
-                images[e] = -1
-        return False
-
-    return Embedding(tuple(images)) if assign(0) else None
-
-
-def _element_profile(p: Poset) -> list[tuple[int, int, int]]:
-    return [
-        (p.up[i].bit_count(), p.down[i].bit_count(), p.heights[i])
-        for i in range(p.size)
-    ]
+    element = dict(by_mask)
+    return Embedding(tuple(element[mask] for mask in images))
 
 
 def are_isomorphic(p1: Poset, p2: Poset) -> bool:
-    """Order-isomorphism test by backtracking with invariant pruning.
+    """Order isomorphism: an induced copy inside a poset of the same size.
 
-    Meant for small posets (tens of elements); the profile filters
-    (degrees, heights) keep the desk-scale cases immediate.
+    Posets whose (up-degree, down-degree, height) profiles differ answer no
+    without a search, which would otherwise take factorial time on, say, an
+    antichain against a poset with one relation.  Like ``find_poset_copy``,
+    this raises ``ValueError`` for posets over 64 elements.
     """
     if p1.size != p2.size:
         return False
-    if p1.relation_count != p2.relation_count:
-        return False
-    prof1 = _element_profile(p1)
-    prof2 = _element_profile(p2)
-    if sorted(prof1) != sorted(prof2):
-        return False
-    candidates = [
-        [j for j in range(p2.size) if prof2[j] == prof1[i]] for i in range(p1.size)
+    profiles = [
+        sorted((p.up[i].bit_count(), p.down[i].bit_count(), p.heights[i]) for i in range(p.size))
+        for p in (p1, p2)
     ]
-    order = sorted(range(p1.size), key=lambda i: len(candidates[i]))
-    images = [-1] * p1.size
-    used = [False] * p2.size
-
-    def assign(pos: int) -> bool:
-        if pos == p1.size:
-            return True
-        e = order[pos]
-        for h in candidates[e]:
-            if used[h]:
-                continue
-            ok = True
-            for f in range(p1.size):
-                g = images[f]
-                if g == -1 or f == e:
-                    continue
-                if p1.lt(f, e) != p2.lt(g, h) or p1.lt(e, f) != p2.lt(h, g):
-                    ok = False
-                    break
-            if ok:
-                images[e] = h
-                used[h] = True
-                if assign(pos + 1):
-                    return True
-                images[e] = -1
-                used[h] = False
-        return False
-
-    return assign(0)
+    return profiles[0] == profiles[1] and find_poset_copy(p1, p2) is not None
 
 
 def transitive_reduction(p: Poset) -> list[tuple[int, int]]:

@@ -15,8 +15,8 @@ from typing import Literal
 
 from poset_ramsey import _kernels
 from poset_ramsey.errors import SearchBudgetExceeded
-from poset_ramsey.lattice import Coloring
-from poset_ramsey.posets import Embedding, Poset
+from poset_ramsey.lattice import MAX_COLORING_DIMENSION, Coloring
+from poset_ramsey.posets import Embedding, Poset, make_boolean_poset
 
 #: Default cap on backtracking nodes per witness search.
 DEFAULT_NODE_BUDGET = 1 << 26
@@ -24,9 +24,6 @@ DEFAULT_NODE_BUDGET = 1 << 26
 #: Ground-set permutation tables grow as N! * 2^N; past this they cost more
 #: than the search they would prune.
 MAX_SYMMETRY_DIMENSION = 6
-
-#: Relation masks are machine words in the kernels.
-MAX_TARGET_SIZE = 64
 
 Color = Literal["blue", "red"]
 
@@ -46,26 +43,8 @@ class SearchBudget:
 
 
 def _relation_arrays(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if p.size > MAX_TARGET_SIZE:
-        raise ValueError(f"target posets are capped at {MAX_TARGET_SIZE} elements")
+    _kernels.check_word_width(p.size, "target")
     return p.down, p.up
-
-
-def boolean_relation_masks(n: int) -> tuple[list[int], list[int]]:
-    """below/above masks of the dimension-n lattice poset (element i = mask i)."""
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    if (1 << n) > MAX_TARGET_SIZE:
-        raise ValueError(f"lattice targets are capped at dimension {MAX_TARGET_SIZE.bit_length() - 1}")
-    size = 1 << n
-    below = [0] * size
-    above = [0] * size
-    for i in range(size):
-        for j in range(size):
-            if i != j and (i & j) == i:
-                above[i] |= 1 << j
-                below[j] |= 1 << i
-    return below, above
 
 
 def _colored_hosts(coloring: Coloring, color: Color) -> list[int]:
@@ -144,10 +123,11 @@ def verify_witness(coloring: Coloring, p: Poset, n: int) -> VerifyResult:
     blue_copy = find_colored_copy(p, coloring, "blue")
     if blue_copy is not None:
         return VerifyResult(False, "blue", blue_copy)
-    below, above = boolean_relation_masks(n)
-    images = _kernels.find_induced_copy(below, above, coloring.red_vertices())
-    if images is not None:
-        return VerifyResult(False, "red", Embedding(tuple(images)))
+    # reject before building a lattice an untrusted n could inflate
+    _kernels.check_word_width(1 << n, "lattice target")
+    red_copy = find_colored_copy(make_boolean_poset(n), coloring, "red")
+    if red_copy is not None:
+        return VerifyResult(False, "red", red_copy)
     return VerifyResult(True)
 
 
@@ -190,16 +170,21 @@ def _find_witness_counted(
         raise ValueError("target poset must be nonempty")
     if n < 0 or N < 0:
         raise ValueError("dimensions must be nonnegative")
+    if N > MAX_COLORING_DIMENSION:
+        raise ValueError(
+            f"host dimension {N} exceeds the coloring cap {MAX_COLORING_DIMENSION}"
+        )
     p_below, p_above = _relation_arrays(p)
-    q_below, q_above = boolean_relation_masks(n)
+    _kernels.check_word_width(1 << n, "lattice target")
+    q = make_boolean_poset(n)
     tables = ground_permutation_tables(N) if symmetry else []
     status, bits, nodes = _kernels.witness_search(
         N,
         p_below,
         p_above,
         p.maximal_elements(),
-        q_below,
-        q_above,
+        q.down,
+        q.up,
         (1 << n) - 1,
         tables,
         budget.max_nodes,

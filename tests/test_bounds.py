@@ -17,7 +17,6 @@ from poset_ramsey.bounds import (
     chain_bound,
     claim_holds,
     claim_sides,
-    compose_bound,
     format_sci,
     log2_interval,
     multipartite_bound_report,
@@ -252,15 +251,6 @@ def test_multipartite_uses_largest_layer():
     for _ in range(3):
         value = spindle_upper_bound(value, 1, 3, 1)
     assert report.value == value
-
-
-def test_compose_bound_matches_two_layer():
-    n = 1 << 10
-    inner = spindle_upper_bound(n, 1, 2, 1)
-    composed = compose_bound(lambda m: spindle_upper_bound(m, 1, 2, 1), inner)
-    assert composed == multipartite_upper_bound(n, (2, 2))
-    assert compose_bound(lambda m: m, 7) == 7
-    assert compose_bound(lambda m: chain_bound(2, m), 5) == 6
 
 
 # ---------------------------------------------------------------- baselines

@@ -128,6 +128,14 @@ def test_witness_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_witness_rejects_host_past_coloring_cap(capsys):
+    # refused before the kernel allocates a 2^25-vertex coloring
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "witness", "--chain", "2", "--n", "1", "--N", "25", "--max-nodes", "1")
+    assert info.value.code == 2
+    assert "24" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- bound
 
 

@@ -365,6 +365,21 @@ def test_check_spindle_rejects_defects():
     assert check_spindle(not_below, c) != []
 
 
+def test_check_spindle_past_word_width():
+    # 4-subsets of a 9-set form an antichain strictly between empty and full
+    g = GroundSplit(4, 5)
+    c = Coloring(9, (1 << 512) - 1)
+    middles = tuple(v for v in range(512) if v.bit_count() == 4)
+    fits = SpindleCert(g, SpindleSpec(1, 62, 1), (0,), middles[:62], (511,))
+    assert check_spindle(fits, c) == []
+    # over 64 vertices the structural checks alone decide, both ways
+    too_wide = SpindleCert(g, SpindleSpec(1, 63, 1), (0,), middles[:63], (511,))
+    assert check_spindle(too_wide, c) == []
+    comparable = middles[:62] + (middles[0] | 1 << 8,)
+    bad = SpindleCert(g, SpindleSpec(1, 63, 1), (0,), comparable, (511,))
+    assert check_spindle(bad, c) != []
+
+
 # ------------------------------------------------- distinctness pigeonhole
 
 

@@ -7,7 +7,11 @@ the other without changing observable behavior anywhere upstream.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,7 @@ from poset_ramsey.posets import (
     make_complete_multipartite,
     make_spindle,
 )
-from poset_ramsey.search import boolean_relation_masks, ground_permutation_tables
+from poset_ramsey.search import ground_permutation_tables
 
 from conftest import brute_has_copy_in_masks
 
@@ -37,7 +41,7 @@ def _relations(p):
 
 def _search_args(p, n, N, symmetry=False, max_nodes=1 << 30, time_limit=0.0):
     p_below, p_above = _relations(p)
-    q_below, q_above = boolean_relation_masks(n)
+    q_below, q_above = _relations(make_boolean_poset(n))
     tables = ground_permutation_tables(N) if symmetry else []
     return (
         N,
@@ -223,3 +227,17 @@ def test_symmetry_tables_do_not_change_results():
             assert plain[0] == pruned[0]
             assert plain[1] == pruned[1]
             assert pruned[2] <= plain[2]
+
+
+def test_bench_kernels_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernels.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("agreement: ok") == 4

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -33,11 +34,11 @@ from poset_ramsey.posets import (
 from conftest import brute_has_copy_in_masks, random_poset
 
 
-def _posets_strategy(max_size: int = 6):
+def _posets_strategy(max_size: int = 6, min_size: int = 1):
     return st.builds(
         lambda seed, size: random_poset(random.Random(seed), size),
         st.integers(0, 2**32 - 1),
-        st.integers(1, max_size),
+        st.integers(min_size, max_size),
     )
 
 
@@ -212,6 +213,14 @@ def test_find_poset_copy_in_boolean_lattice():
     assert find_poset_copy(make_antichain(2), b) is not None
 
 
+def _is_induced(target: Poset, host: Poset, images) -> bool:
+    return len(set(images)) == len(images) and all(
+        target.lt(i, j) == host.lt(images[i], images[j])
+        for i in range(target.size)
+        for j in range(target.size)
+    )
+
+
 def test_find_poset_copy_agrees_with_brute_force():
     rng = random.Random(7)
     big = make_boolean_poset(4)
@@ -231,6 +240,30 @@ def test_find_poset_copy_agrees_with_brute_force():
                             continue
                         a, b = masks[i], masks[j]
                         assert target.lt(i, j) == (a != b and a & b == a)
+    # random_poset shuffles labels, so index order and down-set-mask order
+    # disagree on most hosts; the copy found is the least injection when
+    # host elements are ranked by the mask of their closed down-set
+    targets.extend([make_antichain(3), make_spindle((1, 2, 0))])
+    reordered = 0
+    for trial in range(80):
+        host = random_poset(rng, rng.randint(1, 6))
+        by_mask = sorted(range(host.size), key=lambda h: host.down[h] | 1 << h)
+        reordered += by_mask != list(range(host.size))
+        for target in targets:
+            want = next(
+                (images for images in permutations(by_mask, target.size)
+                 if _is_induced(target, host, images)),
+                None,
+            )
+            got = find_poset_copy(target, host)
+            assert (got.images if got is not None else None) == want
+    assert reordered > 20
+    # relation masks are 64-bit words: the cap holds for hosts and targets
+    assert find_poset_copy(make_chain(2), make_chain(64)) is not None
+    with pytest.raises(ValueError, match="64"):
+        find_poset_copy(make_chain(2), make_antichain(65))
+    with pytest.raises(ValueError, match="64"):
+        find_poset_copy(make_chain(65), make_chain(65))
 
 
 # ------------------------------------------------------------ isomorphism
@@ -241,6 +274,72 @@ def test_are_isomorphic_basic():
     assert not are_isomorphic(make_chain(3), make_antichain(3))
     assert not are_isomorphic(make_chain(3), make_chain(4))
     assert are_isomorphic(make_boolean_poset(2), make_complete_multipartite((1, 2, 1)))
+
+
+def _brute_isomorphic(p: Poset, q: Poset) -> bool:
+    return p.size == q.size and any(
+        _is_induced(p, q, images) for images in permutations(range(q.size))
+    )
+
+
+@st.composite
+def _same_size_pairs(draw):
+    size = draw(st.integers(1, 5))
+    return draw(_posets_strategy(size, size)), draw(_posets_strategy(size, size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(_posets_strategy(5), _posets_strategy(5)), _same_size_pairs()))
+def test_are_isomorphic_matches_brute_force(pair):
+    p, q = pair
+    assert are_isomorphic(p, q) == _brute_isomorphic(p, q)
+
+
+def test_are_isomorphic_skips_search_on_unequal_profiles(monkeypatch):
+    from poset_ramsey import _kernels
+
+    def no_search(*args):
+        raise AssertionError("searched although the profiles differ")
+
+    monkeypatch.setattr(_kernels, "find_induced_copy", no_search)
+    one_relation = Poset(12, (0b10,) + (0,) * 11)
+    assert not are_isomorphic(make_antichain(12), one_relation)
+    # same relation count: a V on the last three against two disjoint pairs
+    two_pairs = Poset(12, (0b10, 0, 0b1000) + (0,) * 9)
+    vee = Poset(12, (0,) * 9 + (0b110 << 9, 0, 0))
+    assert not are_isomorphic(vee, two_pairs)
+
+
+def test_are_isomorphic_word_width_cap():
+    assert are_isomorphic(make_chain(64), make_chain(64))
+    with pytest.raises(ValueError, match="64"):
+        are_isomorphic(make_chain(65), make_chain(65))
+
+
+def test_are_isomorphic_on_equal_relation_counts():
+    # every labeled 4-element poset against every other with as many
+    # relations: the pairs a relation-count filter cannot tell apart
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    by_count: dict[int, list[Poset]] = {}
+    for bits in range(1 << len(pairs)):
+        up = [0] * 4
+        for k, (i, j) in enumerate(pairs):
+            if bits >> k & 1:
+                up[i] |= 1 << j
+        try:
+            p = Poset(4, tuple(up))
+        except ValueError:
+            continue
+        by_count.setdefault(p.relation_count, []).append(p)
+    assert sum(len(ps) for ps in by_count.values()) == 219  # labeled posets on 4
+    mixed = 0
+    for ps in by_count.values():
+        for p in ps:
+            for q in ps:
+                want = _brute_isomorphic(p, q)
+                mixed += not want
+                assert are_isomorphic(p, q) == want
+    assert mixed > 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,6 @@ from poset_ramsey.lattice import Coloring
 from poset_ramsey.posets import Embedding, make_antichain, make_boolean_poset, make_chain
 from poset_ramsey.search import (
     SearchBudget,
-    boolean_relation_masks,
     check_colored_embedding,
     find_colored_copy,
     find_witness,
@@ -88,6 +87,17 @@ def test_verify_witness_reports_violation():
     assert check_colored_embedding(p, Coloring(1, 0b11), "blue", res.violation) == []
     res = verify_witness(Coloring(1, 0b00), p, 1)
     assert not res.ok and res.violation_color == "red"
+
+
+def test_verify_witness_rejects_wide_lattice_before_building(monkeypatch):
+    import poset_ramsey.search as search
+
+    def no_build(n):
+        raise AssertionError("built the lattice before the width check")
+
+    monkeypatch.setattr(search, "make_boolean_poset", no_build)
+    with pytest.raises(ValueError, match="64"):
+        verify_witness(Coloring(1, 0b00), make_chain(2), 10)
 
 
 def test_find_witness_returns_least_color_string():
@@ -205,14 +215,6 @@ def test_ramsey_exact_symmetry_same_answers_and_witnesses():
 
 
 # ---------------------------------------------------------------- helpers
-
-
-def test_boolean_relation_masks_match_poset():
-    for n in range(4):
-        below, above = boolean_relation_masks(n)
-        b = make_boolean_poset(n)
-        assert tuple(below) == b.down
-        assert tuple(above) == b.up
 
 
 def test_ground_permutation_tables_are_permutations():
