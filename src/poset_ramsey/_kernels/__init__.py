@@ -8,6 +8,15 @@ missing extension an import error instead of a silent downgrade.
 ``find_induced_copy`` is the package's one induced-embedding search: blue
 and red copies in a colored lattice, copies between explicit posets, poset
 isomorphism and the spindle certificate check all go through it.
+
+The two twins agree output for output, node counts included, but not in
+method.  The pure twin takes the candidates of a target element as one
+bitset: the AND, over the elements assigned before it, of the above, below
+or apart row of their images; it tries them lowest bit first, which is the
+compiled twin's ascending host order.  Its ``witness_search`` keeps one
+pointer per permutation table for the lex-leader test and undoes pointer
+moves from a trail on backtrack, instead of rescanning every table from
+vertex 0 at each node as the compiled twin does; both prune the same nodes.
 """
 
 from __future__ import annotations

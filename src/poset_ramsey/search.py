@@ -131,9 +131,11 @@ def verify_witness(coloring: Coloring, p: Poset, n: int) -> VerifyResult:
     return VerifyResult(True)
 
 
-def ground_permutation_tables(num_bits: int) -> list[list[int]]:
+def ground_permutation_tables(num_bits: int) -> list[bytes]:
     """Vertex relabeling maps induced by non-identity ground-set permutations.
 
+    Each map is a ``bytes`` of 2^num_bits vertex images, about a sixth of
+    the memory of a list of ints (vertex masks stay below 2^6 under the cap).
     The battery is closed under inversion, so the orientation of each table
     is immaterial to the lex-least pruning test.
     """
@@ -146,16 +148,11 @@ def ground_permutation_tables(num_bits: int) -> list[list[int]]:
     for perm in permutations(range(num_bits)):
         if perm == identity:
             continue
-        table = []
-        for v in range(1 << num_bits):
-            image = 0
-            rest = v
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                image |= 1 << perm[b]
-                rest &= rest - 1
-            table.append(image)
-        tables.append(table)
+        table = bytearray(1 << num_bits)
+        for v in range(1, 1 << num_bits):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(bytes(table))
     return tables
 
 

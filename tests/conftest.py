@@ -3,15 +3,87 @@
 Everything here is deliberately naive and independent of the package's
 search code: embeddings by trying every injection, witnesses by enumerating
 every coloring.  Slow on purpose; keep the sizes tiny.
+
+The ``kernel_backends`` and ``compiled_kernels`` fixtures give the kernel
+twins to compare; when the compiled twin is not installed they build it
+from the committed C source into a temporary directory.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 from itertools import permutations, product
+from pathlib import Path
 
+import pytest
+
+from poset_ramsey._kernels import available_backends
 from poset_ramsey.lattice import Coloring
 from poset_ramsey.posets import Poset
+
+CKERNELS_SOURCE = (
+    Path(__file__).resolve().parent.parent / "src" / "poset_ramsey" / "_kernels" / "_ckernels.c"
+)
+CKERNELS_MODULE = "poset_ramsey._kernels._ckernels"
+
+
+def _build_compiled(workdir: Path) -> object:
+    """Compile and load the C twin, or return the reason it cannot be built.
+
+    The module is loaded from ``workdir`` and dropped from ``sys.modules``
+    again, so nothing under ``src/`` changes and the backend that
+    ``poset_ramsey._kernels`` selected at import stays selected.
+    """
+    command = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+    include = Path(sysconfig.get_paths()["include"])
+    if shutil.which(command[0]) is None:
+        return f"no C compiler ({command[0]}) to build the compiled kernel twin"
+    if not (include / "Python.h").exists():
+        return f"no Python.h under {include} to build the compiled kernel twin"
+    target = workdir / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        [*command, "-O2", "-fPIC", f"-I{include}", str(CKERNELS_SOURCE), "-o", str(target)],
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        pytest.fail(f"building the compiled kernel twin failed:\n{proc.stderr}")
+    spec = importlib.util.spec_from_file_location(CKERNELS_MODULE, target)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(CKERNELS_MODULE, None)
+    return module
+
+
+@pytest.fixture(scope="session")
+def compiled_build(tmp_path_factory) -> object:
+    """The compiled twin, installed or built here, or why it cannot be built."""
+    installed = available_backends().get("compiled")
+    return installed or _build_compiled(tmp_path_factory.mktemp("ckernels"))
+
+
+@pytest.fixture(scope="session")
+def kernel_backends(compiled_build) -> dict[str, object]:
+    """Kernel twins by name: always "pure-python", "compiled" when buildable."""
+    backends = {"pure-python": available_backends()["pure-python"]}
+    if not isinstance(compiled_build, str):
+        backends["compiled"] = compiled_build
+    return backends
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(compiled_build) -> object:
+    """The compiled twin; skips only when no compiler or Python.h exists."""
+    if isinstance(compiled_build, str):
+        pytest.skip(compiled_build)
+    return compiled_build
 
 
 def brute_has_copy_in_masks(target: Poset, hosts: list[int]) -> bool:

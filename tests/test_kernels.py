@@ -2,7 +2,9 @@
 
 Every test that exercises both backends demands bit-for-bit identical
 results, including visited node counts, so either backend can stand in for
-the other without changing observable behavior anywhere upstream.
+the other without changing observable behavior anywhere upstream.  The
+``kernel_backends`` and ``compiled_kernels`` fixtures (conftest.py) build the
+compiled twin from its committed C source when it is not installed.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from poset_ramsey._kernels import STATUS_BUDGET, STATUS_FOUND, STATUS_NONE, STATUS_TIMEOUT, available_backends
+from poset_ramsey._kernels import STATUS_BUDGET, STATUS_FOUND, STATUS_NONE, STATUS_TIMEOUT
+from poset_ramsey._kernels import pure
 from poset_ramsey.posets import (
     make_antichain,
     make_boolean_poset,
@@ -25,14 +26,7 @@ from poset_ramsey.posets import (
 )
 from poset_ramsey.search import ground_permutation_tables
 
-from conftest import brute_has_copy_in_masks
-
-BACKENDS = available_backends()
-
-pairwise = pytest.mark.skipif(
-    len(BACKENDS) < 2,
-    reason="compiled backend unavailable; nothing to compare against",
-)
+from conftest import brute_has_copy_in_masks, random_poset
 
 
 def _relations(p):
@@ -60,11 +54,11 @@ def _search_args(p, n, N, symmetry=False, max_nodes=1 << 30, time_limit=0.0):
 # ------------------------------------------------------- find_induced_copy
 
 
-def test_find_induced_copy_against_brute_force():
+def test_find_induced_copy_against_brute_force(kernel_backends):
     rng = random.Random(11)
     targets = [make_chain(2), make_chain(3), make_antichain(2),
                make_antichain(3), make_boolean_poset(1), make_spindle((1, 2, 1))]
-    for backend in BACKENDS.values():
+    for backend in kernel_backends.values():
         for trial in range(60):
             hosts = sorted(rng.sample(range(16), rng.randint(1, 9)))
             for target in targets:
@@ -81,16 +75,16 @@ def test_find_induced_copy_against_brute_force():
                                 assert target.lt(i, j) == (a != b and a & b == a)
 
 
-def test_find_induced_copy_empty_target():
-    for backend in BACKENDS.values():
+def test_find_induced_copy_empty_target(kernel_backends):
+    for backend in kernel_backends.values():
         assert backend.find_induced_copy([], [], [0, 1]) == []
 
 
-def test_find_induced_copy_anchor_is_respected():
+def test_find_induced_copy_anchor_is_respected(kernel_backends):
     chain = make_chain(3)
     below, above = _relations(chain)
     hosts = [0b00, 0b01, 0b11, 0b10]
-    for backend in BACKENDS.values():
+    for backend in kernel_backends.values():
         # anchor the middle chain element at mask 0b01
         got = backend.find_induced_copy(below, above, hosts, 1, 0b01)
         assert got is not None and got[1] == 0b01
@@ -98,23 +92,31 @@ def test_find_induced_copy_anchor_is_respected():
         assert backend.find_induced_copy(below, above, hosts, 2, 0b10) is None
 
 
-@pairwise
-def test_find_induced_copy_backends_agree():
+def test_find_induced_copy_backends_agree(compiled_kernels):
     rng = random.Random(23)
-    pure, compiled = BACKENDS["pure-python"], BACKENDS["compiled"]
     targets = [make_chain(3), make_antichain(3), make_boolean_poset(2), make_spindle((1, 2, 1))]
+    cases = []
     for trial in range(120):
         hosts = sorted(rng.sample(range(32), rng.randint(1, 12)))
-        target = targets[trial % len(targets)]
+        cases.append((targets[trial % len(targets)], hosts, trial % 3 == 0))
+    # random targets of up to 7 elements among up to 64 vertices of Q_6
+    for trial in range(600):
+        hosts = sorted(rng.sample(range(64), rng.randint(1, 64)))
+        cases.append((random_poset(rng, rng.randint(1, 7)), hosts, trial % 2 == 0))
+    found = 0
+    for target, hosts, anchored in cases:
         below, above = _relations(target)
         anchor_idx = -1
         anchor_mask = 0
-        if trial % 3 == 0:
+        if anchored:
             anchor_idx = rng.randrange(target.size)
             anchor_mask = rng.choice(hosts)
         a = pure.find_induced_copy(below, above, hosts, anchor_idx, anchor_mask)
-        b = compiled.find_induced_copy(below, above, hosts, anchor_idx, anchor_mask)
+        b = compiled_kernels.find_induced_copy(below, above, hosts, anchor_idx, anchor_mask)
         assert a == b
+        found += a is not None
+    # both verdicts are well represented
+    assert 100 < found < len(cases) - 100
 
 
 # ---------------------------------------------------------- witness_search
@@ -135,36 +137,52 @@ def _grid():
     yield make_chain(3), 2, 3, True
     yield make_antichain(2), 2, 3, True
     yield make_spindle((1, 2, 1)), 1, 3, True
+    yield make_chain(3), 2, 4, True
+    yield make_boolean_poset(2), 2, 4, True
+    yield make_complete_multipartite((1, 2)), 2, 4, True
+    yield make_antichain(3), 2, 5, True
+    yield make_boolean_poset(2), 2, 5, True
+    yield make_chain(4), 2, 5, True
 
 
-@pairwise
-def test_witness_search_backends_agree_exactly():
-    pure, compiled = BACKENDS["pure-python"], BACKENDS["compiled"]
+def test_witness_search_backends_agree_exactly(compiled_kernels):
     for p, n, N, symmetry in _grid():
         args = _search_args(p, n, N, symmetry)
-        assert pure.witness_search(*args) == compiled.witness_search(*args)
+        assert pure.witness_search(*args) == compiled_kernels.witness_search(*args)
 
 
-@pairwise
-def test_witness_search_backends_agree_under_budget():
-    pure, compiled = BACKENDS["pure-python"], BACKENDS["compiled"]
-    for max_nodes in (1, 2, 7, 50):
-        args = _search_args(make_chain(3), 2, 4, max_nodes=max_nodes)
-        a = pure.witness_search(*args)
-        b = compiled.witness_search(*args)
-        assert a == b
-        if a[0] == STATUS_BUDGET:
-            assert a[2] >= max_nodes
+def test_witness_search_backends_agree_under_budget(compiled_kernels):
+    cases = [
+        (make_chain(3), 2, 4, False),
+        (make_chain(3), 2, 4, True),
+        (make_boolean_poset(2), 2, 5, True),
+        (make_complete_multipartite((1, 2)), 3, 5, True),
+    ]
+    for p, n, N, symmetry in cases:
+        for max_nodes in (1, 2, 7, 50, 500):
+            args = _search_args(p, n, N, symmetry, max_nodes=max_nodes)
+            a = pure.witness_search(*args)
+            b = compiled_kernels.witness_search(*args)
+            assert a == b
+            if a[0] == STATUS_BUDGET:
+                assert a[2] >= max_nodes
 
 
-def test_witness_search_frozen_node_counts():
+def test_witness_search_frozen_node_counts(kernel_backends):
     """Node totals are part of the kernel contract; drift means the search
     order changed, which would silently break witness reproducibility."""
     expected = {
         (0, False): 17,      # Q1 vs Q1 scan at N=1..2
         (1, True): 63,       # Q1 vs Q2, symmetry on
     }
-    for backend in BACKENDS.values():
+    # per-N nodes of symmetric `ramsey exact` scans: witnesses below the
+    # value, none at it
+    scans = [
+        (make_complete_multipartite((1, 2)), 3, [9, 21, 8272]),  # --multipartite 1,2 --n 3
+        (make_chain(4), 2, [5, 12, 27, 5492]),                   # --chain 4 --n 2
+        (make_boolean_poset(2), 2, [5, 12, 1168]),               # R(Q_2, Q_2) = 4
+    ]
+    for backend in kernel_backends.values():
         q1 = make_boolean_poset(1)
         status, bits, nodes = backend.witness_search(*_search_args(q1, 1, 1))
         total = nodes
@@ -178,8 +196,33 @@ def test_witness_search_frozen_node_counts():
         assert (s1, s2) == (STATUS_FOUND, STATUS_NONE)
         assert n1 + n2 == expected[(1, True)]
 
+        for p, n, per_dim in scans:
+            got = [backend.witness_search(*_search_args(p, n, N, symmetry=True))
+                   for N in range(n, n + len(per_dim))]
+            assert [status for status, _, _ in got] == [STATUS_FOUND] * (len(per_dim) - 1) + [STATUS_NONE]
+            assert [nodes for _, _, nodes in got] == per_dim
 
-def test_witness_search_wide_witness_bits():
+
+def test_witness_search_deeper_than_recursion_limit(kernel_backends):
+    """A search 2^N vertices deep runs under a recursion limit far below 2^N.
+
+    C_7 vs Q_1 at N=6: bottom red, every other vertex blue (a red one
+    would sit above the red bottom), and no 7-chain avoids the bottom."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    args = _search_args(make_chain(7), 1, 6)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)  # 64 nested levels would not fit
+    try:
+        results = [backend.witness_search(*args) for backend in kernel_backends.values()]
+    finally:
+        sys.setrecursionlimit(limit)
+    for result in results:
+        assert result == (STATUS_FOUND, (1 << 64) - 2, 127)
+
+
+def test_witness_search_wide_witness_bits(kernel_backends):
     """Found-witness masks must stay exact past any C integer width.
 
     K_{3,4,2} vs Q_1 stays witnessed at N=5 and N=6, and the least witness
@@ -187,9 +230,9 @@ def test_witness_search_wide_witness_bits():
     indices 31 and 63 (the 32-bit and 64-bit edges).  The pure twin has no
     width edges, so it only runs the cheap N=5 case."""
     k342 = make_complete_multipartite((3, 4, 2))
-    cases = [(name, backend, 5) for name, backend in BACKENDS.items()]
-    if "compiled" in BACKENDS:
-        cases.append(("compiled", BACKENDS["compiled"], 6))
+    cases = [(name, backend, 5) for name, backend in kernel_backends.items()]
+    if "compiled" in kernel_backends:
+        cases.append(("compiled", kernel_backends["compiled"], 6))
     for name, backend, N in cases:
         status, bits, nodes = backend.witness_search(*_search_args(k342, 1, N))
         assert status == STATUS_FOUND, name
@@ -197,8 +240,8 @@ def test_witness_search_wide_witness_bits():
         assert nodes == (1 << N) * 2 - 1, name
 
 
-def test_witness_search_statuses():
-    for backend in BACKENDS.values():
+def test_witness_search_statuses(kernel_backends):
+    for backend in kernel_backends.values():
         args = _search_args(make_chain(2), 1, 1)
         status, bits, nodes = backend.witness_search(*args)
         assert status == STATUS_FOUND and bits == 2
@@ -216,8 +259,8 @@ def test_witness_search_statuses():
         assert status == STATUS_TIMEOUT
 
 
-def test_symmetry_tables_do_not_change_results():
-    for backend in BACKENDS.values():
+def test_symmetry_tables_do_not_change_results(kernel_backends):
+    for backend in kernel_backends.values():
         for p, n, N, _ in _grid():
             if N > 3:
                 continue

@@ -310,6 +310,36 @@ def test_are_isomorphic_skips_search_on_unequal_profiles(monkeypatch):
     assert not are_isomorphic(vee, two_pairs)
 
 
+def _crowns(*ks: int, labels: list[int] | None = None) -> Poset:
+    """Disjoint crowns: k minima a_i and k maxima b_i, a_i < b_i, b_{i+1 mod k}.
+
+    A crown's comparability graph is one 2k-cycle, so every element has the
+    same (up-degree, down-degree, height) profile as in any other crowns of
+    the same total size; ``labels`` relabels the elements."""
+    size = 2 * sum(ks)
+    labels = labels or list(range(size))
+    up = [0] * size
+    base = 0
+    for k in ks:
+        for i in range(k):
+            for j in (i, (i + 1) % k):
+                up[labels[base + i]] |= 1 << labels[base + k + j]
+        base += 2 * k
+    return Poset(size, tuple(up))
+
+
+def test_are_isomorphic_on_crowns():
+    # equal profiles, so only the search can tell these apart
+    assert not are_isomorphic(_crowns(6), _crowns(3, 3))
+    assert not are_isomorphic(_crowns(3, 3), _crowns(6))
+    assert not are_isomorphic(_crowns(7), _crowns(3, 4))
+    assert not are_isomorphic(_crowns(4, 3), _crowns(7))
+    labels = list(range(14))
+    random.Random(5).shuffle(labels)
+    assert are_isomorphic(_crowns(7), _crowns(7, labels=labels))
+    assert are_isomorphic(_crowns(3, 4), _crowns(4, 3, labels=labels))
+
+
 def test_are_isomorphic_word_width_cap():
     assert are_isomorphic(make_chain(64), make_chain(64))
     with pytest.raises(ValueError, match="64"):

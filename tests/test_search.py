@@ -220,6 +220,8 @@ def test_ramsey_exact_symmetry_same_answers_and_witnesses():
 def test_ground_permutation_tables_are_permutations():
     for N in (1, 2, 3):
         tables = ground_permutation_tables(N)
+        assert all(isinstance(table, bytes) for table in tables)
+        tables = [list(table) for table in tables]
         # all of S_N except the identity, acting on vertex masks
         import math
         assert len(tables) == math.factorial(N) - 1
