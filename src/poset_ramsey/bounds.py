@@ -19,9 +19,16 @@ from poset_ramsey.posets import MultipartiteSpec
 #: Default width exponent for log intervals: endpoints are 2**-16 apart.
 DEFAULT_LOG_PRECISION = 16
 
+#: Bits of mantissa kept between squarings in ``_power_bit_length_bracket``.
+_MANTISSA_BITS = 96
+
 #: The factorial eventually dominates, so a bound scan past this many steps
 #: can only mean broken inputs.
 SCAN_CAP_FACTOR = 8
+
+#: At small n, 8n can fall below k*; the cap is then the proven bound on k*
+#: (see ``_spindle_scan``), clipped to this many steps.
+SCAN_CAP_SMALL_N = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +43,30 @@ def _log2_int_interval(m: int, q: int) -> tuple[Fraction, Fraction]:
     if m & (m - 1) == 0:
         exact = Fraction(m.bit_length() - 1)
         return exact, exact
-    bits = (m ** (1 << q)).bit_length()
+    bits, bits_hi = _power_bit_length_bracket(m, q)
+    if bits != bits_hi:
+        bits = (m ** (1 << q)).bit_length()
     return Fraction(bits - 1, 1 << q), Fraction(bits, 1 << q)
+
+
+def _power_bit_length_bracket(m: int, q: int) -> tuple[int, int]:
+    # q squarings of a truncated mantissa: lo * 2**shift <= m**(2**i) <=
+    # hi * 2**shift after step i, so the bit lengths of the two ends bracket
+    # that of the power.  Each truncation costs at most about 2**-95 in
+    # relative width, and squaring doubles it, so the ends agree unless
+    # m**(2**q) lies within about 2**(q-95) of a power of two.
+    lo = hi = m
+    shift = 0
+    for _ in range(q):
+        excess = hi.bit_length() - _MANTISSA_BITS
+        if excess > 0:
+            lo >>= excess
+            hi = -(-hi >> excess)
+            shift += excess
+        lo *= lo
+        hi *= hi
+        shift <<= 1
+    return lo.bit_length() + shift, hi.bit_length() + shift
 
 
 def log2_interval(
@@ -46,8 +75,9 @@ def log2_interval(
     """Rational interval certainly containing log2(x).
 
     Exact (zero-width) for powers of two; otherwise the width is at most
-    2**(1-precision_bits).  Raising the precision shrinks the interval but
-    costs a larger integer power, so keep it moderate.
+    2**(1-precision_bits).  Each precision bit costs one squaring of a
+    short mantissa; the exact integer power is built only in the rare case
+    where the truncated ends cannot decide a bit length.
     """
     if precision_bits < 1:
         raise ValueError("precision must be positive")
@@ -71,10 +101,35 @@ def certified_le(
 
 
 def format_sci(x: int, digits: int = 3) -> str:
-    """Scientific-notation rendering of an arbitrarily large integer."""
+    """Scientific-notation rendering of an arbitrarily large integer.
+
+    For nonzero x, the same string as ``f"{Decimal(x):.{digits}E}"`` (round
+    half to even), but a large x costs one division with a short quotient
+    instead of a full decimal conversion.
+    """
     if x == 0:
         return "0"
-    return f"{Decimal(x):.{digits}E}"
+    # 0.30102999 < log10(2), so e never exceeds floor(log10 x)
+    e = (x.bit_length() - 1) * 30102999 // 100000000
+    if x < 0 or not 0 <= digits < e:
+        return f"{Decimal(x):.{digits}E}"
+    unit = 10 ** (e - digits)
+    head, rest = divmod(x, unit)
+    limit = 10 ** (digits + 1)
+    while head >= limit:
+        head, figure = divmod(head, 10)
+        rest += figure * unit
+        unit *= 10
+        e += 1
+    twice = rest << 1
+    if twice > unit or (twice == unit and head & 1):
+        head += 1
+        if head == limit:
+            head //= 10
+            e += 1
+    figures = str(head)
+    mantissa = f"{figures[0]}.{figures[1:]}" if digits else figures
+    return f"{mantissa}E+{e}"
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +292,9 @@ def _spindle_scan(
     lhs = 1
     rhs = (1 << ((r + t) * (n + 1))) * (s - 1) ** 2
     step = (1 << (r + t)) * (s - 1)
-    cap = SCAN_CAP_FACTOR * n
+    # k! >= (k/e)^k makes the claim hold at every k >= 8*step + (r+t)*n + s
+    k_bound = 8 * step + (r + t) * n + s
+    cap = max(SCAN_CAP_FACTOR * n, min(k_bound, SCAN_CAP_SMALL_N))
     while lhs <= rhs:
         k += 1
         if k > cap:

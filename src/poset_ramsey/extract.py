@@ -91,9 +91,6 @@ class EndClass:
     members: tuple[tuple[YOrdering, BlueChainCert], ...]
     member_positions: tuple[int, ...]
 
-    def end_vertex(self, index: int) -> int:
-        return self.end_vertices[self.indices.index(index)]
-
 
 @dataclass(frozen=True)
 class SpindleCert:

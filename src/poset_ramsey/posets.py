@@ -181,9 +181,6 @@ class ChainCover:
 
     chains: tuple[tuple[int, ...], ...]
 
-    def element_count(self) -> int:
-        return sum(len(c) for c in self.chains)
-
 
 def make_chain(length: int) -> Poset:
     """Total order on ``length`` elements; length 0 gives the empty poset."""

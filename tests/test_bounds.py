@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,6 +12,7 @@ import pytest
 
 from poset_ramsey.bounds import (
     MultipartiteBoundReport,
+    _log2_int_interval,
     SpindleBoundParams,
     antichain_alpha,
     certified_le,
@@ -61,6 +63,77 @@ def test_log2_interval_rejects_nonpositive():
         log2_interval(5, 0)
 
 
+def _exact_bracket(m: int, q: int) -> tuple[Fraction, Fraction]:
+    """The bracket from the exact power; powers of two are exact points."""
+    if m & (m - 1) == 0:
+        return Fraction(m.bit_length() - 1), Fraction(m.bit_length() - 1)
+    bits = (m ** (1 << q)).bit_length()
+    return Fraction(bits - 1, 1 << q), Fraction(bits, 1 << q)
+
+
+@lru_cache(maxsize=None)
+def _decimal_log2(m: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(m).ln() / Decimal(2).ln()
+
+
+def _reference_bracket(m: int, q: int) -> tuple[Fraction, Fraction]:
+    """Same bracket as ``_exact_bracket``: the power has floor(2**q log2 m) + 1
+    bits, read off a 60-digit correctly rounded logarithm, with the exact
+    power only where the product sits within 1e-40 of an integer."""
+    if m & (m - 1) == 0:
+        return _exact_bracket(m, q)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        scaled = _decimal_log2(m) * (1 << q)
+        floor = int(scaled)
+        frac = scaled - floor
+        if frac < Decimal("1e-40") or frac > 1 - Decimal("1e-40"):
+            return _exact_bracket(m, q)
+    return Fraction(floor, 1 << q), Fraction(floor + 1, 1 << q)
+
+
+def _bracket_test_values() -> list[int]:
+    rng = random.Random(2024)
+    edges = [(1 << j) + d for j in range(2, 65) for d in (-1, 1)]
+    return edges + [rng.randrange(1, 1 << 64) for _ in range(500 - len(edges))]
+
+
+def test_log2_int_interval_equals_exact_power_bracket():
+    values = list(range(1, 1 << 12)) + _bracket_test_values()
+    for q in (1, 8):
+        for m in values:
+            assert _log2_int_interval(m, q) == _exact_bracket(m, q), (m, q)
+    for m in (3, 5, 1023, 4095, (1 << 32) - 1, (1 << 32) + 1):
+        assert _log2_int_interval(m, 16) == _exact_bracket(m, 16), m
+    # m**2 lies just past an odd power of two, closer than a 96-bit mantissa
+    # resolves: only a rounded-up upper end sends these to the exact power
+    for b in (193, 201, 255, 1001):
+        for m in (math.isqrt(1 << b), math.isqrt(1 << b) + 1):
+            for q in (1, 8):
+                assert _log2_int_interval(m, q) == _exact_bracket(m, q), (b, q)
+
+
+def test_log2_int_interval_at_high_precision():
+    for q in (16, 20):
+        for m in list(range(1, 1 << 12)) + _bracket_test_values():
+            assert _log2_int_interval(m, q) == _reference_bracket(m, q), (m, q)
+
+
+def test_log2_interval_on_fractions():
+    rng = random.Random(77)
+    cases = [Fraction(3, 7), Fraction(1, 1000), Fraction(65537, 65536), Fraction(10**6, 3)]
+    cases += [Fraction(rng.randrange(1, 1 << 40), rng.randrange(1, 1 << 40)) for _ in range(40)]
+    for x in cases:
+        for q, bracket in ((1, _exact_bracket), (8, _exact_bracket), (16, _reference_bracket)):
+            num_lo, num_hi = bracket(x.numerator, q)
+            den_lo, den_hi = bracket(x.denominator, q)
+            assert log2_interval(x, q) == (num_lo - den_hi, num_hi - den_lo), (x, q)
+        lo, hi = log2_interval(x)
+        assert float(lo) <= math.log2(x.numerator) - math.log2(x.denominator) <= float(hi)
+
+
 def test_certified_le():
     one = (Fraction(1), Fraction(1))
     two = (Fraction(2), Fraction(2))
@@ -72,9 +145,38 @@ def test_certified_le():
 
 def test_format_sci():
     assert format_sci(0) == "0"
-    assert format_sci(12345) == "1.234E+4" or format_sci(12345) == "1.235E+4"
+    assert format_sci(12345) == "1.234E+4"  # half to even
+    assert format_sci(12355) == "1.236E+4"
+    assert format_sci(99995) == "1.000E+5"
+    assert format_sci(7000, 0) == "7E+3"
+    assert format_sci(-12345) == "-1.234E+4"
     big = format_sci(math.factorial(300))
     assert "E+" in big and len(big) < 12
+
+
+def _format_sci_cases() -> list[int]:
+    rng = random.Random(99)
+    cases = [math.factorial(k) for k in range(0, 300)]
+    cases += [math.factorial(k) for k in (2000, 12842, 21890, 25000)]
+    for j in range(0, 80):
+        power = 10 ** j
+        cases += [power, power - 1, power + 1]
+        # ties and carries at every rounding position used below
+        cases += [c * power for c in (5, 15, 25, 125, 1235, 12345, 12355, 99995, 99985, 9999995)]
+        cases += [c * power + 1 for c in (5, 15, 12345, 99995)]
+    for _ in range(12):
+        n = rng.randint(1 << 10, 1 << 12)
+        r, s, t = rng.randint(0, 2), rng.randint(2, 4), rng.randint(0, 2)
+        report = spindle_bound_report(n, r, s, t)
+        cases += [report.lhs, report.rhs]
+    return [x for x in cases if x]  # format_sci prints 0 as "0"
+
+
+def test_format_sci_matches_decimal():
+    for x in _format_sci_cases():
+        reference = Decimal(x)
+        for digits in (0, 1, 3, 6):
+            assert format_sci(x, digits) == f"{reference:.{digits}E}", (x, digits)
 
 
 # ------------------------------------------------------------------- claim
@@ -184,6 +286,18 @@ def test_spindle_bound_degenerate_antichain_row():
 def test_spindle_scan_cap():
     with pytest.raises(ValueError):
         spindle_upper_bound(2, 0, 1 << 40, 1)
+
+
+def test_spindle_scan_small_n_grid():
+    # 8n is below k* at small n; the cap must admit every such input
+    for n in range(1, 31):
+        for r in range(3):
+            for t in range(3):
+                for s in range(2, 6):
+                    k = spindle_bound_report(n, r, s, t).k_star
+                    assert claim_holds(n, k, r, t, s), (n, r, s, t)
+                    assert not claim_holds(n, k - 1, r, t, s), (n, r, s, t)
+    assert spindle_bound_report(1, 1, 2, 1).k_star == 11
 
 
 def test_realized_ratio_decreases_toward_two():

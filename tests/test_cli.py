@@ -145,6 +145,25 @@ def test_bound_spindle_golden(capsys):
     assert out == (GOLDEN / "bound_spindle_1_2_1_n1024.json").read_text()
 
 
+def test_bound_goldens_off_a_power_of_two(capsys):
+    code, out, _ = _run(capsys, "bound", "--spindle", "2,3,1", "--n", "5000", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "bound_spindle_2_3_1_n5000.json").read_text()
+    code, out, _ = _run(capsys, "bound", "--multipartite", "2,3", "--n", "3000", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "bound_multipartite_2_3_n3000.json").read_text()
+
+
+def test_bound_small_n(capsys):
+    # k* exceeds 8n on each of these
+    code, out, _ = _run(capsys, "bound", "--spindle", "1,2,1", "--n", "1")
+    assert code == 0 and "k* = 11" in out
+    code, out, _ = _run(capsys, "bound", "--spindle", "1,9,1", "--n", "4")
+    assert code == 0 and "k* = 92" in out
+    code, out, _ = _run(capsys, "bound", "--multipartite", "2,3", "--n", "1")
+    assert code == 0
+
+
 def test_bound_spindle_text(capsys):
     code, out, _ = _run(capsys, "bound", "--spindle", "1,2,1", "--n", "1024")
     assert code == 0
@@ -179,8 +198,9 @@ def test_bound_warns_when_asymptotics_do_not_apply(capsys):
 
 def test_bound_scan_cap_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
-        _run(capsys, "bound", "--spindle", "1,9,1", "--n", "4")
+        _run(capsys, "bound", "--spindle", f"0,{1 << 40},1", "--n", "2")
     assert info.value.code == 2
+    assert "bound scan exceeded" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ extract
