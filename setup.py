@@ -1,26 +1,14 @@
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-# The compiled kernels are an optimization, not a requirement: the package
-# falls back to the pure-Python twins when the extension is unavailable.
-# POSET_RAMSEY_PURE=1 skips the extension build entirely.
-ext_modules = []
-if os.environ.get("POSET_RAMSEY_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "poset_ramsey._kernels._ckernels",
-                    ["src/poset_ramsey/_kernels/_ckernels.pyx"],
-                )
-            ],
-            language_level=3,
+# The compiled kernels are an optimization, not a requirement: optional=True
+# turns a failed build (say, no C compiler) into a warning, and the package
+# then falls back to the pure-Python twin at import time.
+setup(
+    ext_modules=[
+        Extension(
+            "poset_ramsey._kernels._ckernels",
+            ["src/poset_ramsey/_kernels/_ckernels.c"],
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,9 +1,11 @@
 """Search kernel backend selection.
 
-The compiled extension is preferred when importable; otherwise the
-pure-Python twin takes over.  ``POSET_RAMSEY_BACKEND=pure`` forces the
-fallback (useful for benchmarking and twin testing); ``=compiled`` makes a
-missing extension an import error instead of a silent downgrade.
+The compiled twin is the C extension ``_ckernels``, which ``setup.py``
+builds from the hand-written ``_ckernels.c`` when a C compiler is present.
+It is preferred when importable; otherwise the pure-Python twin takes
+over.  ``POSET_RAMSEY_BACKEND=pure`` forces the fallback (useful for
+benchmarking and twin testing); ``=compiled`` makes a missing extension an
+import error instead of a silent downgrade.
 
 ``find_induced_copy`` is the package's one induced-embedding search: blue
 and red copies in a colored lattice, copies between explicit posets, poset

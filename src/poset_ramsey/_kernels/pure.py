@@ -1,4 +1,4 @@
-"""Pure-Python search kernels; behavioral twin of the compiled extension.
+"""Pure-Python search kernels; behavioral twin of the C extension ``_ckernels``.
 
 Both backends implement the same two primitives with identical semantics,
 visit order, and node accounting, so either can be selected at import time

@@ -30,6 +30,10 @@ SCAN_CAP_FACTOR = 8
 #: (see ``_spindle_scan``), clipped to this many steps.
 SCAN_CAP_SMALL_N = 1024
 
+#: The scan's right side starts at 2^((r+t)(n+1)); inputs that would make it
+#: longer than this many bits are rejected before it is built.
+SCAN_MAX_POWER_BITS = 1 << 26
+
 
 # ---------------------------------------------------------------------------
 # Certified base-2 logarithm intervals (integer arithmetic only)
@@ -288,6 +292,11 @@ def _spindle_scan(
     _validate_claim_args(n, 0, r, t, s)
     if s == 1:
         return n + r + t, None, None, None
+    if (r + t) * (n + 1) > SCAN_MAX_POWER_BITS:
+        raise ValueError(
+            f"bound scan would start from a {(r + t) * (n + 1)}-bit power of two, "
+            f"past the {SCAN_MAX_POWER_BITS}-bit cap; inputs look wrong"
+        )
     k = 1
     lhs = 1
     rhs = (1 << ((r + t) * (n + 1))) * (s - 1) ** 2

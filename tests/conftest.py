@@ -5,13 +5,14 @@ search code: embeddings by trying every injection, witnesses by enumerating
 every coloring.  Slow on purpose; keep the sizes tiny.
 
 The ``kernel_backends`` and ``compiled_kernels`` fixtures give the kernel
-twins to compare; when the compiled twin is not installed they build it
-from the committed C source into a temporary directory.
+twins to compare; they build the compiled twin from ``_ckernels.c`` with
+``setup.py build_ext``, as ``pip`` does, into a temporary directory.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import os
 import random
 import shlex
 import shutil
@@ -27,33 +28,34 @@ from poset_ramsey._kernels import available_backends
 from poset_ramsey.lattice import Coloring
 from poset_ramsey.posets import Poset
 
-CKERNELS_SOURCE = (
-    Path(__file__).resolve().parent.parent / "src" / "poset_ramsey" / "_kernels" / "_ckernels.c"
-)
+REPO_ROOT = Path(__file__).resolve().parent.parent
 CKERNELS_MODULE = "poset_ramsey._kernels._ckernels"
+#: A compiler warning in the kernel fails the suite.
+CKERNELS_CFLAGS = "-std=c99 -Wall -Wextra -Werror"
 
 
 def _build_compiled(workdir: Path) -> object:
-    """Compile and load the C twin, or return the reason it cannot be built.
+    """Build the C twin with ``setup.py build_ext`` into ``workdir`` and load it.
 
-    The module is loaded from ``workdir`` and dropped from ``sys.modules``
-    again, so nothing under ``src/`` changes and the backend that
-    ``poset_ramsey._kernels`` selected at import stays selected.
+    Returns the reason when no C compiler exists.  The module is dropped
+    from ``sys.modules`` after loading, so nothing under ``src/`` changes and
+    the backend that ``poset_ramsey._kernels`` selected at import stays
+    selected.
     """
-    command = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
-    include = Path(sysconfig.get_paths()["include"])
-    if shutil.which(command[0]) is None:
-        return f"no C compiler ({command[0]}) to build the compiled kernel twin"
-    if not (include / "Python.h").exists():
-        return f"no Python.h under {include} to build the compiled kernel twin"
-    target = workdir / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    compiler = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    if not compiler or shutil.which(compiler[0]) is None:
+        return "no C compiler to build the compiled kernel twin"
+    env = dict(os.environ, CFLAGS=CKERNELS_CFLAGS)
     proc = subprocess.run(
-        [*command, "-O2", "-fPIC", f"-I{include}", str(CKERNELS_SOURCE), "-o", str(target)],
-        capture_output=True, text=True,
+        [sys.executable, "setup.py", "build_ext", "-b", str(workdir), "-t", str(workdir)],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True,
     )
-    if proc.returncode != 0:
-        pytest.fail(f"building the compiled kernel twin failed:\n{proc.stderr}")
-    spec = importlib.util.spec_from_file_location(CKERNELS_MODULE, target)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    built = workdir / "poset_ramsey" / "_kernels" / f"_ckernels{suffix}"
+    # optional=True turns a compile error into a warning and exit status 0
+    if proc.returncode != 0 or not built.exists():
+        pytest.fail(f"building the compiled kernel twin failed:\n{proc.stdout}\n{proc.stderr}")
+    spec = importlib.util.spec_from_file_location(CKERNELS_MODULE, built)
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
@@ -64,9 +66,8 @@ def _build_compiled(workdir: Path) -> object:
 
 @pytest.fixture(scope="session")
 def compiled_build(tmp_path_factory) -> object:
-    """The compiled twin, installed or built here, or why it cannot be built."""
-    installed = available_backends().get("compiled")
-    return installed or _build_compiled(tmp_path_factory.mktemp("ckernels"))
+    """The compiled twin built from source here, or why it cannot be built."""
+    return _build_compiled(tmp_path_factory.mktemp("ckernels"))
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +81,7 @@ def kernel_backends(compiled_build) -> dict[str, object]:
 
 @pytest.fixture(scope="session")
 def compiled_kernels(compiled_build) -> object:
-    """The compiled twin; skips only when no compiler or Python.h exists."""
+    """The compiled twin; skips only when no C compiler exists."""
     if isinstance(compiled_build, str):
         pytest.skip(compiled_build)
     return compiled_build

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,18 @@ def test_bound_scan_cap_is_usage_error(capsys):
         _run(capsys, "bound", "--spindle", f"0,{1 << 40},1", "--n", "2")
     assert info.value.code == 2
     assert "bound scan exceeded" in capsys.readouterr().err
+
+
+def test_bound_huge_n_is_usage_error(capsys):
+    # the scan would start from a 2*10^14-bit power of two
+    for shape in (["--multipartite", "2,3"], ["--spindle", "1,2,1"]):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            _run(capsys, "bound", *shape, "--n", "99999999999999")
+        assert info.value.code == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "bit cap" in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------------ extract
