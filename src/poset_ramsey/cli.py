@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from poset_ramsey import bounds, extract
+from poset_ramsey import _kernels, bounds, extract
 from poset_ramsey.errors import SearchBudgetExceeded
 from poset_ramsey.lattice import (
     Coloring,
@@ -114,6 +114,38 @@ def _load_poset(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Po
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")
+
+
+def _flag_size(args: argparse.Namespace) -> int | None:
+    """Element count the builder flags ask for; None for ``--poset``."""
+    if args.chain is not None:
+        return args.chain
+    if args.antichain is not None:
+        return args.antichain
+    if args.multipartite is not None:
+        return sum(args.multipartite)
+    if args.spindle is not None:
+        return sum(args.spindle)
+    if args.boolean is not None and args.boolean >= 0:
+        # 2^N elements: any N past the word width is over it, and cheap to shift
+        return 1 << min(args.boolean, _kernels.MAX_TARGET_SIZE)
+    return None
+
+
+def _check_target_width(
+    size: int | None, what: str, parser: argparse.ArgumentParser
+) -> None:
+    """Reject a kernel target over the word width before it is built.
+
+    Building is not linear (a 2000-element chain takes seconds), so an
+    over-size flag must fail before the constructor runs.
+    """
+    if size is None:
+        return
+    try:
+        _kernels.check_word_width(size, what)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _add_coloring_source(parser: argparse.ArgumentParser) -> None:
@@ -319,6 +351,7 @@ def _cmd_bound(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _check_target_width(_flag_size(args), "target", parser)
     poset = _load_poset(args, parser)
     n_max = args.nmax if args.nmax is not None else args.n + poset.size
     try:
@@ -366,6 +399,7 @@ def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_witness(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _check_target_width(_flag_size(args), "target", parser)
     poset = _load_poset(args, parser)
     try:
         witness = find_witness(
@@ -488,9 +522,11 @@ def _cmd_extract(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         return EXIT_OK
 
     # clear-vertex classification
-    p1 = make_chain(args.p1_chain)
-    p2 = make_chain(args.p2_chain)
+    _check_target_width(args.p1_chain, "--p1-chain", parser)
+    _check_target_width(args.p2_chain, "--p2-chain", parser)
     try:
+        p1 = make_chain(args.p1_chain)
+        p2 = make_chain(args.p2_chain)
         result = extract.classify_clear(coloring, split, p1, p2)
     except ValueError as exc:
         parser.error(str(exc))

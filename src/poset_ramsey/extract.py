@@ -40,7 +40,7 @@ from poset_ramsey.posets import (
     poset_from_json_dict,
     poset_to_json_dict,
 )
-from poset_ramsey.search import check_colored_embedding, find_colored_copy, verify_witness
+from poset_ramsey.search import check_colored_embedding, verify_witness
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +213,38 @@ def chain_or_red(
 ) -> BlueChainCert | RedQnCert:
     """Blue prefix chain for ``pi`` if one exists, else a red lattice copy.
 
-    Both searches are complete, so coming up empty on both is impossible for
-    a genuine coloring and raises :class:`InvariantViolation`.
+    The red copy is built, not searched for.  Let h[X] be the length of the
+    longest blue prefix chain whose X-parts all lie inside X.  Then
+    h[X] = L + (the run of blue vertices X|Y(L), X|Y(L+1), ...), where L is
+    the largest h[X - b] over b in X, so one pass over the X-parts in
+    ascending mask order fills the table.  h is monotone and stays at most k
+    when no blue chain exists; then X -> X|Y(h[X]) is an induced copy of the
+    X-lattice, red because the run of blue vertices stopped there.  h
+    reaching k+1 after all is impossible for a genuine coloring and raises
+    :class:`InvariantViolation`.
     """
     chain = find_blue_prefix_chain(coloring, g, pi)
     if chain is not None:
         return chain
-    red = find_colored_copy(make_boolean_poset(g.n), coloring, "red")
-    if red is not None:
-        return RedQnCert(split=g, dimension=g.n, images=red.images)
-    raise InvariantViolation(
-        "no blue prefix chain and no red lattice copy: "
-        "corrupted coloring or implementation bug"
-    )
+    prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
+    h = [0] * (1 << g.n)
+    for x in range(1 << g.n):
+        level = 0
+        rest = x
+        while rest:
+            low = rest & -rest
+            level = max(level, h[x ^ low])
+            rest ^= low
+        while level <= g.k and coloring.is_blue(x | prefixes[level]):
+            level += 1
+        if level > g.k:
+            raise InvariantViolation(
+                "no blue prefix chain, yet a blue chain ends inside X-part "
+                f"{x}: corrupted coloring or implementation bug"
+            )
+        h[x] = level
+    images = tuple(x | prefixes[level] for x, level in enumerate(h))
+    return RedQnCert(split=g, dimension=g.n, images=images)
 
 
 def collect_chain_family(
@@ -422,19 +441,22 @@ def classify_clear(
     """
     if coloring.dim != g.total:
         raise ValueError("coloring dimension differs from the ground split")
+    for p in (p1, p2):
+        _kernels.check_word_width(p.size, "anchored")
     p1_max = p1.maximal_elements()
     p2_min = p2.minimal_elements()
     if len(p1_max) != 1:
         raise ValueError("first poset must have a unique maximal element")
     if len(p2_min) != 1:
         raise ValueError("second poset must have a unique minimal element")
+    # one host list for every anchored search: each is over the blue vertices
     blue = tuple(coloring.blue_vertices())
     p1_clear = tuple(
-        find_colored_copy(p1, coloring, "blue", anchor=(p1_max[0], v)) is None
+        _kernels.find_induced_copy(p1.down, p1.up, blue, p1_max[0], v) is None
         for v in blue
     )
     p2_clear = tuple(
-        find_colored_copy(p2, coloring, "blue", anchor=(p2_min[0], v)) is None
+        _kernels.find_induced_copy(p2.down, p2.up, blue, p2_min[0], v) is None
         for v in blue
     )
     green = tuple(v for v, clear in zip(blue, p1_clear) if clear)
@@ -490,7 +512,10 @@ def check_red_qn(cert: RedQnCert, coloring: Coloring) -> list[str]:
     # reject before building a lattice a hostile certificate could inflate
     if not 0 <= cert.dimension <= coloring.dim:
         return ["claimed lattice dimension does not fit inside the host"]
-    target = make_boolean_poset(cert.dimension)
+    try:
+        target = make_boolean_poset(cert.dimension)
+    except ValueError as exc:
+        return [f"claimed lattice is too large to check: {exc}"]
     return check_colored_embedding(target, coloring, "red", Embedding(cert.images))
 
 

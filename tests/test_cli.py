@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from poset_ramsey import cli
 from poset_ramsey.cli import main
 from poset_ramsey.extract import certificate_from_json_dict, verify_certificate
 from poset_ramsey.lattice import Coloring, coloring_from_text, coloring_to_text, write_coloring
@@ -135,6 +136,43 @@ def test_witness_rejects_host_past_coloring_cap(capsys):
         _run(capsys, "witness", "--chain", "2", "--n", "1", "--N", "25", "--max-nodes", "1")
     assert info.value.code == 2
     assert "24" in capsys.readouterr().err
+
+
+_BUILDERS = ("make_chain", "make_antichain", "make_complete_multipartite", "make_spindle",
+             "make_boolean_poset")
+
+
+def _forbid_builders(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-size target was built")
+
+    for name in _BUILDERS:
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("command", [("exact", "--n", "1"), ("witness", "--n", "1", "--N", "2")])
+@pytest.mark.parametrize("flags", [
+    ("--chain", "65"),
+    ("--chain", "20000"),
+    ("--antichain", "65"),
+    ("--multipartite", "30,35"),
+    ("--spindle", "1,63,1"),
+    ("--boolean", "7"),
+    ("--boolean", "1000000000000"),
+])
+def test_kernel_commands_reject_over_size_targets_before_building(
+    monkeypatch, capsys, command, flags
+):
+    _forbid_builders(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, command[0], *flags, *command[1:])
+    assert info.value.code == 2
+    assert "capped at 64" in capsys.readouterr().err
+
+
+def test_kernel_commands_accept_targets_at_the_word_width(capsys):
+    assert _run(capsys, "witness", "--chain", "64", "--n", "1", "--N", "0")[0] == 0
+    assert _run(capsys, "witness", "--boolean", "6", "--n", "1", "--N", "1")[0] == 0
 
 
 # -------------------------------------------------------------------- bound
@@ -293,6 +331,20 @@ def test_extract_coloring_dimension_mismatch(tmp_path, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--p1-chain", "--p2-chain"])
+def test_extract_clear_rejects_bad_chain_lengths(monkeypatch, capsys, flag):
+    argv = ("extract", "--what", "clear", "--n", "2", "--k", "1", "--all-blue", flag)
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, *argv, "-1")  # was a ValueError traceback
+    assert info.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err
+    _forbid_builders(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, *argv, "65")
+    assert info.value.code == 2
+    assert "capped at 64" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- verify-cert
 
 
@@ -341,6 +393,20 @@ def test_verify_cert_malformed_json_is_usage_error(tmp_path, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "line 1 column 3" in err
+
+
+def test_verify_cert_red_qn_above_the_relation_budget(tmp_path, capsys):
+    # the 2^11-element lattice the check would build exceeds its budget
+    cert_path = tmp_path / "red.json"
+    col_path = tmp_path / "red.txt"
+    cert_path.write_text(json.dumps({
+        "kind": "red_qn", "ground": {"n": 11, "k": 0},
+        "target_dimension": 11, "images": list(range(1 << 11)),
+    }))
+    write_coloring(col_path, Coloring(11, 0))
+    code, out, _ = _run(capsys, "verify-cert", "--cert", str(cert_path), "--coloring", str(col_path))
+    assert code == 1
+    assert out.startswith("FAIL: claimed lattice is too large to check")
 
 
 def test_verify_cert_missing_file(tmp_path, capsys):

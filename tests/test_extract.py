@@ -5,12 +5,14 @@ clear classification, and certificate round trips."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poset_ramsey import extract
 from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import (
     BlueChainCert,
@@ -166,6 +168,43 @@ def test_check_red_qn_rejects_blue_vertex():
     assert check_red_qn(tampered, c) != []
     blue_there = Coloring(3, 1 << cert.images[0])
     assert check_red_qn(cert, blue_there) != []
+
+
+def test_check_red_qn_is_total_above_the_relation_budget():
+    # 2^11 elements: the checker's lattice would exceed the relation budget
+    g = GroundSplit(11, 0)
+    cert = RedQnCert(g, 11, tuple(range(1 << 11)))
+    problems = check_red_qn(cert, Coloring(11, 0))
+    assert problems and "too large" in problems[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chain_or_red_builds_checked_red_cubes(n: int):
+    reds = 0
+    for k in range(1, 7):
+        if n + k > 10:
+            break
+        g = GroundSplit(n, k)
+        orderings = list(all_orderings(g))
+        for density in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            for seed in range(3):
+                c = random_coloring(g, 1000 * n + 100 * k + seed, density)
+                pi = orderings[seed % len(orderings)]
+                cert = chain_or_red(c, g, pi)
+                if isinstance(cert, RedQnCert):
+                    reds += 1
+                    assert find_blue_prefix_chain(c, g, pi) is None
+                    assert cert.dimension == n
+                assert verify_certificate(cert, c) == []
+    assert reds >= 5
+
+
+def test_chain_or_red_guard_fires_when_a_chain_was_missed(monkeypatch):
+    # the h table reaches k+1 exactly when a blue prefix chain exists
+    g = GroundSplit(2, 2)
+    monkeypatch.setattr(extract, "find_blue_prefix_chain", lambda *args: None)
+    with pytest.raises(InvariantViolation):
+        chain_or_red(Coloring(4, (1 << 16) - 1), g, _ascending(g))
 
 
 # ----------------------------------------------------------- chain family
@@ -542,6 +581,50 @@ def test_classify_clear_disjunction_when_no_glued_copy():
         assert set(out.green) <= set(out.blue)
         assert set(out.yellow) == set(range(8)) - set(out.green)
     assert checked > 50
+
+
+def test_classify_clear_matches_per_vertex_search():
+    chain2, chain3 = make_chain(2), make_chain(3)
+    for n, k, density in ((2, 2, Fraction(1, 2)), (3, 2, Fraction(3, 4)), (3, 3, Fraction(1, 8))):
+        g = GroundSplit(n, k)
+        for seed in range(3):
+            c = random_coloring(g, seed, density)
+            for p1, p2 in ((chain2, chain2), (chain3, chain2), (chain2, chain3)):
+                out = classify_clear(c, g, p1, p2)
+                blue = tuple(c.blue_vertices())
+                assert out.blue == blue
+                assert out.p1_clear == tuple(
+                    find_colored_copy(p1, c, "blue", anchor=(p1.size - 1, v)) is None
+                    for v in blue
+                )
+                assert out.p2_clear == tuple(
+                    find_colored_copy(p2, c, "blue", anchor=(0, v)) is None for v in blue
+                )
+
+
+def test_classify_clear_builds_one_host_list(monkeypatch):
+    calls = []
+    blue_vertices = Coloring.blue_vertices
+
+    def counted(self):
+        calls.append(self)
+        return blue_vertices(self)
+
+    monkeypatch.setattr(Coloring, "blue_vertices", counted)
+    g = GroundSplit(3, 3)
+    c = random_coloring(g, 7, Fraction(1, 2))
+    out = classify_clear(c, g, make_chain(2), make_chain(3))
+    assert len(out.blue) > 10
+    assert len(calls) == 1
+
+
+def test_classify_clear_rejects_targets_over_the_word_width():
+    g = GroundSplit(2, 0)
+    c = Coloring(2, 0b1111)
+    with pytest.raises(ValueError, match="64"):
+        classify_clear(c, g, make_chain(65), make_chain(2))
+    with pytest.raises(ValueError, match="64"):
+        classify_clear(c, g, make_chain(2), make_chain(65))
 
 
 # ----------------------------------------------------------- serialization

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,11 +115,47 @@ def test_coloring_rejects_out_of_range_bits():
         Coloring(25, 0)  # default dimension cap
 
 
+@st.composite
+def _colorings(draw) -> Coloring:
+    dim = draw(st.integers(0, 12))
+    full = (1 << (1 << dim)) - 1
+    bits = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return Coloring(dim, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colorings())
+def test_vertex_lists_match_naive_scan(c: Coloring):
+    # all-blue and all-red colorings are drawn as their own cases
+    assert c.blue_vertices() == [v for v in range(c.vertex_count) if (c.bits >> v) & 1]
+    assert c.red_vertices() == [v for v in range(c.vertex_count) if not (c.bits >> v) & 1]
+
+
+def _bit_loop(vertices) -> int:
+    """The one-bit-at-a-time integer the packed constructors replace."""
+    bits = 0
+    for v in vertices:
+        bits |= 1 << v
+    return bits
+
+
 def test_coloring_from_blue_set():
     c = coloring_from_blue_set(2, [0, 3])
     assert c.bits == 0b1001
     with pytest.raises(ValueError):
         coloring_from_blue_set(1, [2])
+    with pytest.raises(ValueError):
+        coloring_from_blue_set(2, [-1])
+    assert coloring_from_blue_set(0, []).bits == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.lists(st.integers(0, (1 << dim) - 1)))
+))
+def test_coloring_from_blue_set_matches_bit_loop(case):
+    dim, blue = case  # repeats included
+    assert coloring_from_blue_set(dim, blue).bits == _bit_loop(blue)
 
 
 def test_layered_coloring_by_popcount():
@@ -127,6 +165,14 @@ def test_layered_coloring_by_popcount():
         assert c.is_blue(v) == (v.bit_count() in (0, 2))
     with pytest.raises(ValueError):
         layered_coloring(g, (4,))
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (2, 3), (5, 4), (7, 5)])
+def test_layered_coloring_matches_bit_loop(n: int, k: int):
+    g = GroundSplit(n, k)
+    for sizes in ((), (0,), (g.total,), tuple(range(0, g.total + 1, 2)), tuple(range(g.total + 1))):
+        want = _bit_loop(v for v in range(1 << g.total) if v.bit_count() in sizes)
+        assert layered_coloring(g, sizes).bits == want
 
 
 # ------------------------------------------------------ pseudorandomness
@@ -156,12 +202,17 @@ def test_random_coloring_threshold_extremes():
 
 def test_random_coloring_matches_stream():
     # vertex v is blue iff the v-th splitmix64 output clears the threshold
-    g = GroundSplit(2, 0)
-    c = random_coloring(g, 5)
-    state = 5
-    for v in range(4):
-        out, state = _splitmix64(state)
-        assert c.is_blue(v) == (out < (1 << 63))
+    for n, k in ((0, 0), (2, 0), (1, 2), (3, 4), (6, 5)):
+        g = GroundSplit(n, k)
+        for p in (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)):
+            c = random_coloring(g, 5, blue_probability=p)
+            threshold = (p.numerator << 64) // p.denominator
+            state, blue = 5, []
+            for v in range(1 << g.total):
+                out, state = _splitmix64(state)
+                if out < threshold:
+                    blue.append(v)
+            assert c.bits == _bit_loop(blue), (n, k, p)
 
 
 # ------------------------------------------------------------ text format
