@@ -25,6 +25,7 @@ from poset_ramsey.lattice import (
     random_coloring,
 )
 from poset_ramsey.posets import (
+    DEFAULT_RELATION_BUDGET,
     Poset,
     SpindleSpec,
     make_antichain,
@@ -97,6 +98,10 @@ def _load_json(path: str, parser: argparse.ArgumentParser) -> object:
 
 
 def _load_poset(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Poset:
+    # building is not linear (make_chain(1024) takes about 0.5 s): refuse first
+    size = _flag_size(args)
+    if size is not None and size * size > DEFAULT_RELATION_BUDGET:
+        parser.error(f"target exceeds the relation budget: size^2 > {DEFAULT_RELATION_BUDGET}")
     try:
         if args.poset is not None:
             return poset_from_json_dict(_load_json(args.poset, parser))

@@ -90,11 +90,11 @@ class Coloring:
 
     __slots__ = ("dim", "bits")
 
-    def __init__(self, dim: int, bits: int, *, max_dimension: int = MAX_COLORING_DIMENSION):
+    def __init__(self, dim: int, bits: int):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        if dim > max_dimension:
-            raise ValueError(f"dimension {dim} exceeds the materialization cap {max_dimension}")
+        if dim > MAX_COLORING_DIMENSION:
+            raise ValueError(f"dimension {dim} exceeds the cap {MAX_COLORING_DIMENSION}")
         if bits < 0 or bits >> (1 << dim):
             raise ValueError("color bits outside the vertex range")
         object.__setattr__(self, "dim", dim)

@@ -217,14 +217,14 @@ def make_spindle(spec: SpindleSpec | tuple[int, int, int]) -> Poset:
     return make_complete_multipartite(spec.layer_sizes())
 
 
-def make_boolean_poset(n: int, *, relation_budget: int = DEFAULT_RELATION_BUDGET) -> Poset:
+def make_boolean_poset(n: int) -> Poset:
     """Boolean lattice of dimension n as a poset; element i is the subset-mask i."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     size = 1 << n
-    if size * size > relation_budget:
+    if size * size > DEFAULT_RELATION_BUDGET:
         raise ValueError(
-            f"2^{n} elements exceed the relation budget ({size}^2 > {relation_budget})"
+            f"2^{n} elements exceed the relation budget ({size}^2 > {DEFAULT_RELATION_BUDGET})"
         )
     up = []
     for i in range(size):

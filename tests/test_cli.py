@@ -175,6 +175,33 @@ def test_kernel_commands_accept_targets_at_the_word_width(capsys):
     assert _run(capsys, "witness", "--boolean", "6", "--n", "1", "--N", "1")[0] == 0
 
 
+
+@pytest.mark.parametrize("command", ["construct", "export-dot"])
+@pytest.mark.parametrize("flags", [
+    ("--chain", "1025"),
+    ("--chain", "20000"),
+    ("--antichain", "1025"),
+    ("--multipartite", "500,525"),
+    ("--spindle", "1,1023,1"),
+    ("--boolean", "11"),
+    ("--boolean", "1000000000000"),
+])
+def test_poset_commands_reject_over_budget_targets_before_building(
+    monkeypatch, capsys, command, flags
+):
+    _forbid_builders(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, command, *flags)
+    assert info.value.code == 2
+    assert "relation budget" in capsys.readouterr().err
+
+
+def test_poset_commands_accept_targets_at_the_relation_budget(tmp_path, capsys):
+    out_file = tmp_path / "p.json"
+    assert _run(capsys, "construct", "--antichain", "1024", "--out", str(out_file))[0] == 0
+    assert poset_from_json(out_file.read_text()).size == 1024
+    assert _run(capsys, "export-dot", "--spindle", "1,1022,1", "--out", str(out_file))[0] == 0
+
 # -------------------------------------------------------------------- bound
 
 
@@ -396,17 +423,40 @@ def test_verify_cert_malformed_json_is_usage_error(tmp_path, capsys):
 
 
 def test_verify_cert_red_qn_above_the_relation_budget(tmp_path, capsys):
-    # the 2^11-element lattice the check would build exceeds its budget
+    # 2^11 elements: past the relation budget of an explicit lattice poset
     cert_path = tmp_path / "red.json"
     col_path = tmp_path / "red.txt"
-    cert_path.write_text(json.dumps({
-        "kind": "red_qn", "ground": {"n": 11, "k": 0},
-        "target_dimension": 11, "images": list(range(1 << 11)),
-    }))
-    write_coloring(col_path, Coloring(11, 0))
-    code, out, _ = _run(capsys, "verify-cert", "--cert", str(cert_path), "--coloring", str(col_path))
-    assert code == 1
-    assert out.startswith("FAIL: claimed lattice is too large to check")
+    identity = list(range(1 << 11))
+
+    def verify(images, coloring) -> tuple[int, str]:
+        cert_path.write_text(json.dumps({
+            "kind": "red_qn", "ground": {"n": 11, "k": 0},
+            "target_dimension": 11, "images": images,
+        }))
+        write_coloring(col_path, coloring)
+        code, out, _ = _run(capsys, "verify-cert", "--cert", str(cert_path),
+                            "--coloring", str(col_path))
+        return code, out
+
+    assert verify(identity, Coloring(11, 0)) == (0, "certificate OK\n")
+    code, out = verify([1, 0] + identity[2:], Coloring(11, 0))
+    assert code == 1 and "FAIL: image of 0 is not below the image of 1" in out
+    assert verify(identity, Coloring(11, 1 << 1000)) == (1, "FAIL: image of 1000 is not red\n")
+
+
+def test_verify_cert_checks_extracted_red_cube_past_the_relation_budget(tmp_path, capsys):
+    cert_path = tmp_path / "red.json"
+    col_path = tmp_path / "red.txt"
+    code, _, _ = _run(capsys, "extract", "--what", "chain", "--n", "11", "--k", "1",
+                      "--all-red", "--out", str(cert_path))
+    assert code == 0
+    images = json.loads(cert_path.read_text())["images"]
+    assert len(images) == 1 << 11
+    write_coloring(col_path, Coloring(12, 0))
+    argv = ("verify-cert", "--cert", str(cert_path), "--coloring", str(col_path))
+    assert _run(capsys, *argv)[:2] == (0, "certificate OK\n")
+    write_coloring(col_path, Coloring(12, 1 << images[5]))
+    assert _run(capsys, *argv)[:2] == (1, "FAIL: image of 5 is not red\n")
 
 
 def test_verify_cert_missing_file(tmp_path, capsys):

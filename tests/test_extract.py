@@ -4,7 +4,10 @@ clear classification, and certificate round trips."""
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poset_ramsey import extract
+from poset_ramsey import _kernels, extract, posets, search
 from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import (
     BlueChainCert,
@@ -43,8 +46,18 @@ from poset_ramsey.extract import (
     verify_certificate,
 )
 from poset_ramsey.lattice import Coloring, GroundSplit, YOrdering, all_orderings, prefix_mask, random_coloring
-from poset_ramsey.posets import ChainCover, SpindleSpec, dilworth_cover, make_antichain, make_boolean_poset, make_chain, max_antichain
-from poset_ramsey.search import find_colored_copy
+from poset_ramsey.posets import (
+    ChainCover,
+    Embedding,
+    SpindleSpec,
+    dilworth_cover,
+    make_antichain,
+    make_boolean_poset,
+    make_chain,
+    make_spindle,
+    max_antichain,
+)
+from poset_ramsey.search import check_colored_embedding, find_colored_copy
 
 
 def _ascending(g: GroundSplit) -> YOrdering:
@@ -171,11 +184,88 @@ def test_check_red_qn_rejects_blue_vertex():
 
 
 def test_check_red_qn_is_total_above_the_relation_budget():
-    # 2^11 elements: the checker's lattice would exceed the relation budget
+    # 2^11 elements: past the relation budget of an explicit lattice poset
     g = GroundSplit(11, 0)
-    cert = RedQnCert(g, 11, tuple(range(1 << 11)))
-    problems = check_red_qn(cert, Coloring(11, 0))
-    assert problems and "too large" in problems[0]
+    identity = tuple(range(1 << 11))
+    assert check_red_qn(RedQnCert(g, 11, identity), Coloring(11, 0)) == []
+    swapped = (identity[1], identity[0]) + identity[2:]
+    assert check_red_qn(RedQnCert(g, 11, swapped), Coloring(11, 0)) != []
+    one_blue = Coloring(11, 1 << 777)
+    assert check_red_qn(RedQnCert(g, 11, identity), one_blue) == ["image of 777 is not red"]
+
+
+def test_check_red_qn_rejects_cover_monotone_maps_that_are_not_induced():
+    # each map is monotone on all four cover pairs, yet f({0}) <= f({1})
+    g = GroundSplit(3, 0)
+    for images in ((0, 1, 1, 3), (0, 1, 3, 7), (0, 1, 1, 1)):
+        problems = check_red_qn(RedQnCert(g, 2, images), Coloring(3, 0))
+        assert "image of 1 lies below the image of 2" in problems
+
+
+def _reference_red_qn(cert: RedQnCert, coloring: Coloring) -> list[str]:
+    """The explicit check: every one of the 4^d pairs against a built Q_d."""
+    target = make_boolean_poset(cert.dimension)
+    return check_colored_embedding(target, coloring, "red", Embedding(cert.images))
+
+
+@st.composite
+def _red_cube_maps(draw):
+    """A d-cube map into a host of dimension <= 5: random, or a perturbed monotone map.
+
+    Each monotone image is the union of the images below it plus at most one
+    drawn bit, so shifted cubes occur, and so do maps that ascend on every
+    cover pair without being induced (f({0}) inside f({1})).
+    """
+    dim = draw(st.integers(0, 5))
+    d = draw(st.integers(0, 3))
+    size = 1 << d
+    if dim and draw(st.booleans()):
+        images = [draw(st.sampled_from((0, 1))) << draw(st.integers(0, dim - 1))]
+        for x in range(1, size):
+            below = [images[x ^ 1 << b] for b in range(d) if x >> b & 1]
+            extra = draw(st.sampled_from((0, 1))) << draw(st.integers(0, dim - 1))
+            images.append(functools.reduce(operator.or_, below, extra))
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, size - 1))
+            if draw(st.booleans()):
+                j = draw(st.integers(0, size - 1))
+                images[i], images[j] = images[j], images[i]
+            else:
+                images[i] ^= 1 << draw(st.integers(0, dim - 1))
+    else:
+        images = draw(st.lists(st.integers(-1, 1 << dim), min_size=max(size - 1, 0),
+                               max_size=size + 1))
+    blue = draw(st.integers(0, (1 << (1 << dim)) - 1))
+    if draw(st.booleans()):
+        for v in images:
+            if 0 <= v < 1 << dim:
+                blue &= ~(1 << v)
+    return RedQnCert(GroundSplit(dim, 0), d, tuple(images)), Coloring(dim, blue)
+
+
+_ORDER_PROBLEMS = ("is not below", "lies below", "breaks induced order", "not distinct")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_red_cube_maps())
+def test_check_red_qn_matches_the_explicit_lattice_check(case):
+    cert, coloring = case
+    got, want = check_red_qn(cert, coloring), _reference_red_qn(cert, coloring)
+    assert (got == []) == (want == [])
+    if cert.dimension <= coloring.dim:
+        # count, range and color messages keep the reference's text
+        def plain(problems):
+            return [p for p in problems if not any(tag in p for tag in _ORDER_PROBLEMS)]
+        assert plain(got) == plain(want)
+
+
+def test_check_red_qn_is_linear():
+    # the n = 10 identity cube: 5,120 cover steps, not 4^10 pair tests
+    g = GroundSplit(10, 0)
+    cert = RedQnCert(g, 10, tuple(range(1 << 10)))
+    start = time.perf_counter()
+    assert check_red_qn(cert, Coloring(10, 0)) == []
+    assert time.perf_counter() - start < 0.25
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -417,6 +507,82 @@ def test_check_spindle_past_word_width():
     comparable = middles[:62] + (middles[0] | 1 << 8,)
     bad = SpindleCert(g, SpindleSpec(1, 63, 1), (0,), comparable, (511,))
     assert check_spindle(bad, c) != []
+
+
+def _kernel_spindle_check(cert: SpindleCert, coloring: Coloring) -> list[str]:
+    """The structural check followed by a restriction search for the shape."""
+    problems = check_spindle(cert, coloring)
+    if problems or cert.shape.size > _kernels.MAX_TARGET_SIZE:
+        return problems
+    spindle = make_spindle(cert.shape)
+    if _kernels.find_induced_copy(spindle.down, spindle.up, sorted(cert.all_vertices())) is None:
+        return ["induced poset does not realize the spindle shape"]
+    return []
+
+
+def _random_spindle_cert(rng: random.Random) -> tuple[SpindleCert, Coloring]:
+    """A spindle on a random maximal chain and level, then up to two vertices redrawn."""
+    g = GroundSplit(rng.randint(1, 3), rng.randint(0, 3))
+    dim = g.total
+    shape = SpindleSpec(rng.randint(0, 2), rng.randint(1, 4), rng.randint(0, 2))
+    order = rng.sample(range(dim), dim)
+    top = (1 << dim) - 1
+    lower = [sum(1 << b for b in order[:i]) for i in range(shape.r)]
+    upper = [top ^ sum(1 << b for b in order[dim - i :]) for i in range(shape.t)][::-1]
+    rank = rng.randint(0, dim)
+    level = [v for v in range(1 << dim) if v.bit_count() == rank]
+    middle = [rng.choice(level) for _ in range(shape.s)]
+    vertices = lower + middle + upper
+    for _ in range(rng.randint(0, 2)):
+        vertices[rng.randrange(len(vertices))] = rng.randrange(1 << dim)
+    blue = rng.getrandbits(1 << dim)
+    if rng.random() < 0.8:
+        blue |= sum(1 << v for v in set(vertices))
+    r, s = shape.r, shape.s
+    cert = SpindleCert(g, shape, tuple(vertices[:r]), tuple(vertices[r : r + s]),
+                       tuple(vertices[r + s :]))
+    return cert, Coloring(dim, blue)
+
+
+def test_check_spindle_matches_the_kernel_check():
+    rng = random.Random(20261018)
+    accepted = 0
+    for _ in range(4000):
+        cert, coloring = _random_spindle_cert(rng)
+        problems = check_spindle(cert, coloring)
+        assert (problems == []) == (_kernel_spindle_check(cert, coloring) == [])
+        # and with the element-by-element check against the built spindle
+        target = make_spindle(cert.shape)
+        embedding = Embedding(cert.all_vertices())
+        reference = check_colored_embedding(target, coloring, "blue", embedding)
+        assert (problems == []) == (reference == [])
+        accepted += problems == []
+    assert accepted >= 100
+
+
+def test_verify_certificate_needs_no_search_layer(monkeypatch):
+    g = GroundSplit(2, 1)
+    all_blue, all_red = Coloring(3, (1 << 8) - 1), Coloring(3, 0)
+    chain = chain_or_red(all_blue, g, _ascending(g))
+    cube = chain_or_red(all_red, g, _ascending(g))
+    spindle = SpindleCert(GroundSplit(1, 2), SpindleSpec(1, 2, 1),
+                          (0,), (0b010, 0b100), (0b110,))
+    sg, fam = _synthetic_family_s3()
+    cls = pigeonhole_end_classes(fam, 1, 1)[0]
+    report = distinctness_contradiction(cls, assemble_spindle(cls, SpindleSpec(1, 3, 1), sg), sg)
+    member_blue = Coloring(4, sum(1 << v for v in {v for c in report.member_chains for v in c}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate checker called into the search layer")
+
+    monkeypatch.setattr(_kernels, "find_induced_copy", refuse)
+    monkeypatch.setattr(posets, "make_boolean_poset", refuse)
+    monkeypatch.setattr(search, "check_colored_embedding", refuse)
+    cases = [(chain, all_blue, all_red), (cube, all_red, all_blue),
+             (spindle, all_blue, all_red), (report, member_blue, Coloring(4, 0))]
+    for cert, good, bad in cases:
+        assert verify_certificate(cert, good) == []
+        assert verify_certificate(cert, bad) != []
 
 
 # ------------------------------------------------- distinctness pigeonhole
