@@ -16,6 +16,7 @@ from typing import Sequence
 from poset_ramsey import _kernels, bounds, extract
 from poset_ramsey.errors import SearchBudgetExceeded
 from poset_ramsey.lattice import (
+    MAX_COLORING_DIMENSION,
     Coloring,
     GroundSplit,
     YOrdering,
@@ -169,6 +170,9 @@ def _add_coloring_source(parser: argparse.ArgumentParser) -> None:
 def _load_coloring(
     args: argparse.Namespace, split: GroundSplit, parser: argparse.ArgumentParser
 ) -> Coloring:
+    # every source holds 2^(n+k) bits, so the dimension is checked first
+    if split.total > MAX_COLORING_DIMENSION:
+        parser.error(f"n+k={split.total} exceeds the coloring cap {MAX_COLORING_DIMENSION}")
     if args.coloring is not None:
         try:
             coloring = coloring_from_text(_read_text(args.coloring, parser))

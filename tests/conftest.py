@@ -7,6 +7,7 @@ every coloring.  Slow on purpose; keep the sizes tiny.
 The ``kernel_backends`` and ``compiled_kernels`` fixtures give the kernel
 twins to compare; they build the compiled twin from ``_ckernels.c`` with
 ``setup.py build_ext``, as ``pip`` does, into a temporary directory.
+``_splitmix64`` is the frozen scalar reference for ``random_coloring``.
 """
 
 from __future__ import annotations
@@ -85,6 +86,24 @@ def compiled_kernels(compiled_build) -> object:
     if isinstance(compiled_build, str):
         pytest.skip(compiled_build)
     return compiled_build
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(state: int) -> tuple[int, int]:
+    """One step of the splitmix64 stream: returns (output, next state).
+
+    The generator is fixed so that seeds reproduce across implementations:
+    state advances by 0x9E3779B97F4A7C15; the output mixes the new state by
+    xor-shift 30 / multiply 0xBF58476D1CE4E5B9, xor-shift 27 / multiply
+    0x94D049BB133111EB, xor-shift 31.  All arithmetic is modulo 2^64.
+    """
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31), state
 
 
 def brute_has_copy_in_masks(target: Poset, hosts: list[int]) -> bool:

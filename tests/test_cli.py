@@ -358,6 +358,22 @@ def test_extract_coloring_dimension_mismatch(tmp_path, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("n, k", [(20, 5), (20, 10)])
+@pytest.mark.parametrize("source", [("--all-red",), ("--all-blue",), ("--random-seed", "1")])
+def test_extract_rejects_dimension_past_coloring_cap(monkeypatch, capsys, n, k, source):
+    # refused before any source builds 2^(n+k) bits (--all-red was a traceback)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("random_coloring called past the coloring cap")
+
+    monkeypatch.setattr(cli, "random_coloring", forbidden)
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "extract", "--what", "chain", "--n", str(n), "--k", str(k), *source)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"n+k={n + k} exceeds the coloring cap 24" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--p1-chain", "--p2-chain"])
 def test_extract_clear_rejects_bad_chain_lengths(monkeypatch, capsys, flag):
     argv = ("extract", "--what", "clear", "--n", "2", "--k", "1", "--all-blue", flag)

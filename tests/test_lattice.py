@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _splitmix64
+
 from poset_ramsey.lattice import (
     Coloring,
     GroundSplit,
     YOrdering,
-    _splitmix64,
     all_orderings,
     coloring_from_blue_set,
     coloring_from_text,
@@ -200,19 +201,64 @@ def test_random_coloring_threshold_extremes():
     assert random_coloring(g, 9, blue_probability=1).blue_count() == 16
 
 
+def _draws(dim: int, seed: int) -> list[int]:
+    """The first 2^dim outputs of the scalar splitmix64 stream from ``seed``."""
+    state, out = seed & ((1 << 64) - 1), []
+    for _ in range(1 << dim):
+        draw, state = _splitmix64(state)
+        out.append(draw)
+    return out
+
+
+def _stream_bits(draws: list[int], p: Fraction | float) -> int:
+    """Color bits with vertex v blue when draws[v] is below the threshold."""
+    p = Fraction(p)
+    threshold = (p.numerator << 64) // p.denominator
+    buf = bytearray((len(draws) + 7) // 8)
+    for v, draw in enumerate(draws):
+        if draw < threshold:
+            buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
 def test_random_coloring_matches_stream():
-    # vertex v is blue iff the v-th splitmix64 output clears the threshold
-    for n, k in ((0, 0), (2, 0), (1, 2), (3, 4), (6, 5)):
+    # vertex v is blue iff the v-th splitmix64 output clears the threshold;
+    # 2^12 vertices fill one lane block, 2^13 and 2^16 span several
+    for n, k in ((0, 0), (2, 0), (1, 2), (3, 4), (6, 5), (7, 5), (6, 7), (10, 6)):
         g = GroundSplit(n, k)
+        draws = _draws(g.total, 5)
         for p in (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)):
             c = random_coloring(g, 5, blue_probability=p)
-            threshold = (p.numerator << 64) // p.denominator
-            state, blue = 5, []
-            for v in range(1 << g.total):
-                out, state = _splitmix64(state)
-                if out < threshold:
-                    blue.append(v)
-            assert c.bits == _bit_loop(blue), (n, k, p)
+            assert c.bits == _stream_bits(draws, p), (n, k, p)
+
+
+def test_random_coloring_threshold_boundary():
+    # a draw one below the threshold is blue, a draw equal to it is red,
+    # in the first, last and interior lanes of a block and across blocks
+    g = GroundSplit(6, 7)
+    draws = _draws(g.total, 5)
+    for v in (0, 1, 2047, 4095, 4096, 8191):
+        for threshold, blue in ((draws[v] + 1, True), (draws[v], False)):
+            p = Fraction(threshold, 1 << 64)
+            c = random_coloring(g, 5, blue_probability=p)
+            assert c.is_blue(v) is blue, (v, blue)
+            assert c.bits == _stream_bits(draws, p), (v, blue)
+
+
+_PROBABILITIES = (Fraction(0), Fraction(1), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2),
+                  Fraction(7, 8), 0.37)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 2**80 - 1), st.sampled_from(_PROBABILITIES))
+def test_random_coloring_matches_stream_random(dim: int, seed: int, p: Fraction | float):
+    g = GroundSplit(dim // 2, dim - dim // 2)
+    assert random_coloring(g, seed, p).bits == _stream_bits(_draws(dim, seed), p)
+
+
+def test_random_coloring_rejects_dimension_past_cap():
+    with pytest.raises(ValueError, match="cap 24"):
+        random_coloring(GroundSplit(20, 5), 1)
 
 
 # ------------------------------------------------------------ text format
