@@ -19,6 +19,10 @@ compiled twin's ascending host order.  Its ``witness_search`` keeps one
 pointer per permutation table for the lex-leader test and undoes pointer
 moves from a trail on backtrack, instead of rescanning every table from
 vertex 0 at each node as the compiled twin does; both prune the same nodes.
+The pure ``witness_search`` also memoizes each check for a copy topped at
+the vertex just colored, when the anchored element lies above every other
+target element, keyed by the color class inside that vertex's down-set;
+the compiled twin searches afresh every time, with the same answers.
 """
 
 from __future__ import annotations

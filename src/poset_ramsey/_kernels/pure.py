@@ -21,6 +21,16 @@ window on first use, in one pass over that window's hosts.
 integer and a vertex's row is built once per search, when the search first
 reaches that vertex.
 
+When ``witness_search`` colors vertex v, it checks for copies topped at v.
+If the anchored element lies above every other target element (always the
+top of Q_n, and the maximal element of P when it is P's unique maximum),
+every other image lies below v, so the answer depends only on the color
+class inside v's down-set.  That set alone is the key of a per-search memo
+for each such check: v is above every vertex in it, so vertices whose
+down-sets hold the same colored vertices share one entry.  A memo holds at
+most ``_MEMO_ENTRIES`` answers and is cleared when full.  A P with several
+maximal elements is checked afresh each time.
+
 Symmetry breaking in ``witness_search`` is an incremental lex-leader test:
 each permutation table keeps a pointer, and the positions before it compare
 equal under the current partial coloring.  A table waits in the bucket of
@@ -52,11 +62,16 @@ STATUS_TIMEOUT = 3
 # reads the empty slot.
 _APART = 0
 _ABOVE = 1
+_BELOW = 2
 
 #: Host positions of the first window of ``find_induced_copy``.  Windows
 #: double after it, so a search that succeeds among the first hosts
 #: classifies only those, and a long one classifies each host once per image.
 _FIRST_WINDOW = 16
+
+#: Entries in each anchored-check memo of ``witness_search``; a full memo is
+#: cleared, which bounds a deep search's memory.
+_MEMO_ENTRIES = 1 << 15
 
 
 def _plan(below: Sequence[int], above: Sequence[int], order: Sequence[int]) -> list[tuple]:
@@ -69,6 +84,11 @@ def _plan(below: Sequence[int], above: Sequence[int], order: Sequence[int]) -> l
             (q, ((be >> f) & 1) | ((ae >> f) & 1) << 1) for q, f in enumerate(order[:pos])
         ))
     return plan
+
+
+def _is_top(below: Sequence[int], e: int) -> bool:
+    """Does element e lie above every other element?"""
+    return below[e] | 1 << e == (1 << len(below)) - 1
 
 
 def _anchored_order(m: int, anchor_idx: int) -> list[int]:
@@ -307,6 +327,15 @@ def witness_search(
             p = table.index(v)
             ptr[t] = p if p < v else v
 
+    # checks[c]: the plans of the color-c copies topped at v; memos[c]: their
+    # answers keyed by the color class below v when checks[c] is one plan
+    # anchored at a top element (see the module docstring), else None
+    checks = [[q_top_plan], p_tops]
+    memos = [
+        {} if _is_top(q_below, q_top) else None,
+        {} if len(p_tops) == 1 and _is_top(p_below, p_max_elems[0]) else None,
+    ]
+
     colors = [-1] * volume
     masks = [0, 0]  # red, blue vertex bitsets
     state = [0] * volume  # next color to try at each vertex on the stack
@@ -345,10 +374,16 @@ def witness_search(
             rows.append([~(down | bit), 0, down, 0])
         colors[v] = c
         masks[c] |= 1 << v
-        if c:
-            ok = not any(has_copy(plan, masks[1], v) for plan in p_tops)
+        memo = memos[c]
+        if memo is None:
+            ok = not any(has_copy(plan, masks[c], v) for plan in checks[c])
         else:
-            ok = not has_copy(q_top_plan, masks[0], v)
+            key = masks[c] & rows[v][_BELOW]
+            ok = memo.get(key)
+            if ok is None:
+                if len(memo) >= _MEMO_ENTRIES:
+                    memo.clear()
+                ok = memo[key] = not has_copy(checks[c][0], key | 1 << v, v)
         if ok and nperm and not leads(v):
             unlead(v)
             ok = False

@@ -8,8 +8,8 @@ witness is the exact value, since a witness at N restricts to one at N-1.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import Literal
 
@@ -80,35 +80,6 @@ def find_colored_copy(
     return None if images is None else Embedding(tuple(images))
 
 
-def check_colored_embedding(
-    target: Poset, coloring: Coloring, color: Color, embedding: Embedding
-) -> list[str]:
-    """Re-verification from first principles: colors, injectivity, induced order."""
-    problems = []
-    images = embedding.images
-    if len(images) != target.size:
-        problems.append("image count differs from target size")
-        return problems
-    want_blue = color == "blue"
-    for i, v in enumerate(images):
-        if v < 0 or v >> coloring.dim:
-            problems.append(f"image of {i} outside the lattice")
-            return problems
-        if coloring.is_blue(v) != want_blue:
-            problems.append(f"image of {i} is not {color}")
-    if len(set(images)) != len(images):
-        problems.append("images are not distinct")
-    for i in range(target.size):
-        for j in range(target.size):
-            if i == j:
-                continue
-            want = target.lt(i, j)
-            got = (images[i] & images[j]) == images[i] and images[i] != images[j]
-            if want != got:
-                problems.append(f"pair ({i}, {j}) breaks induced order")
-    return problems
-
-
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of checking a would-be witness coloring."""
@@ -131,13 +102,15 @@ def verify_witness(coloring: Coloring, p: Poset, n: int) -> VerifyResult:
     return VerifyResult(True)
 
 
-def ground_permutation_tables(num_bits: int) -> list[bytes]:
+@lru_cache(maxsize=None)
+def ground_permutation_tables(num_bits: int) -> tuple[bytes, ...]:
     """Vertex relabeling maps induced by non-identity ground-set permutations.
 
     Each map is a ``bytes`` of 2^num_bits vertex images, about a sixth of
     the memory of a list of ints (vertex masks stay below 2^6 under the cap).
     The battery is closed under inversion, so the orientation of each table
-    is immaterial to the lex-least pruning test.
+    is immaterial to the lex-least pruning test.  The tables are built once
+    per process and dimension; under the cap the cache stays below 90 KB.
     """
     if num_bits > MAX_SYMMETRY_DIMENSION:
         raise ValueError(
@@ -153,7 +126,7 @@ def ground_permutation_tables(num_bits: int) -> list[bytes]:
             low = v & -v
             table[v] = table[v ^ low] | 1 << perm[low.bit_length() - 1]
         tables.append(bytes(table))
-    return tables
+    return tuple(tables)
 
 
 def _find_witness_counted(
@@ -174,7 +147,7 @@ def _find_witness_counted(
     p_below, p_above = _relation_arrays(p)
     _kernels.check_word_width(1 << n, "lattice target")
     q = make_boolean_poset(n)
-    tables = ground_permutation_tables(N) if symmetry else []
+    tables = ground_permutation_tables(N) if symmetry else ()
     status, bits, nodes = _kernels.witness_search(
         N,
         p_below,

@@ -7,7 +7,8 @@ every coloring.  Slow on purpose; keep the sizes tiny.
 The ``kernel_backends`` and ``compiled_kernels`` fixtures give the kernel
 twins to compare; they build the compiled twin from ``_ckernels.c`` with
 ``setup.py build_ext``, as ``pip`` does, into a temporary directory.
-``_splitmix64`` is the frozen scalar reference for ``random_coloring``.
+``_splitmix64`` is the frozen scalar reference for ``random_coloring``, and
+``check_colored_embedding`` re-verifies an embedding from first principles.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import pytest
 
 from poset_ramsey._kernels import available_backends
 from poset_ramsey.lattice import Coloring
-from poset_ramsey.posets import Poset
+from poset_ramsey.posets import Embedding, Poset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CKERNELS_MODULE = "poset_ramsey._kernels._ckernels"
@@ -104,6 +105,35 @@ def _splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31), state
+
+
+def check_colored_embedding(
+    target: Poset, coloring: Coloring, color: str, embedding: Embedding
+) -> list[str]:
+    """Re-verification from first principles: colors, injectivity, induced order."""
+    problems = []
+    images = embedding.images
+    if len(images) != target.size:
+        problems.append("image count differs from target size")
+        return problems
+    want_blue = color == "blue"
+    for i, v in enumerate(images):
+        if v < 0 or v >> coloring.dim:
+            problems.append(f"image of {i} outside the lattice")
+            return problems
+        if coloring.is_blue(v) != want_blue:
+            problems.append(f"image of {i} is not {color}")
+    if len(set(images)) != len(images):
+        problems.append("images are not distinct")
+    for i in range(target.size):
+        for j in range(target.size):
+            if i == j:
+                continue
+            want = target.lt(i, j)
+            got = (images[i] & images[j]) == images[i] and images[i] != images[j]
+            if want != got:
+                problems.append(f"pair ({i}, {j}) breaks induced order")
+    return problems
 
 
 def brute_has_copy_in_masks(target: Poset, hosts: list[int]) -> bool:

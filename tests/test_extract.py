@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poset_ramsey import _kernels, extract, posets, search
+from poset_ramsey import _kernels, extract, posets
 from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import (
     BlueChainCert,
@@ -57,7 +57,9 @@ from poset_ramsey.posets import (
     make_spindle,
     max_antichain,
 )
-from poset_ramsey.search import check_colored_embedding, find_colored_copy
+from poset_ramsey.search import find_colored_copy
+
+from conftest import check_colored_embedding
 
 
 def _ascending(g: GroundSplit) -> YOrdering:
@@ -577,7 +579,6 @@ def test_verify_certificate_needs_no_search_layer(monkeypatch):
 
     monkeypatch.setattr(_kernels, "find_induced_copy", refuse)
     monkeypatch.setattr(posets, "make_boolean_poset", refuse)
-    monkeypatch.setattr(search, "check_colored_embedding", refuse)
     cases = [(chain, all_blue, all_red), (cube, all_red, all_blue),
              (spindle, all_blue, all_red), (report, member_blue, Coloring(4, 0))]
     for cert, good, bad in cases:

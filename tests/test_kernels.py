@@ -170,6 +170,62 @@ def test_witness_search_backends_agree_under_budget(compiled_kernels):
                 assert a[2] >= max_nodes
 
 
+def _memo_grid():
+    """Random targets of up to 5 elements, half with a unique maximum, whose
+    blue top checks go through the pure twin's memo, half without."""
+    rng = random.Random(1313)
+    unique, several = [], []
+    while len(unique) < 5 or len(several) < 5:
+        p = random_poset(rng, rng.randint(1, 5))
+        group = unique if len(p.maximal_elements()) == 1 else several
+        if len(group) < 5:
+            group.append(p)
+    for p in unique + several:
+        for n, N in ((0, 2), (1, 2), (1, 3), (2, 3), (2, 4)):
+            for symmetry in (False, True):
+                yield p, n, N, symmetry
+
+
+def _assert_memo_parity(compiled_kernels):
+    for p, n, N, symmetry in _memo_grid():
+        for max_nodes in (1, 7, 500):
+            args = _search_args(p, n, N, symmetry, max_nodes=max_nodes)
+            assert pure.witness_search(*args) == compiled_kernels.witness_search(*args)
+
+
+def test_witness_search_memo_agrees_with_compiled(compiled_kernels):
+    """The compiled twin has no anchored-check memo, so it is the oracle."""
+    _assert_memo_parity(compiled_kernels)
+
+
+def test_witness_search_memo_clearing_agrees_with_compiled(compiled_kernels, monkeypatch):
+    monkeypatch.setattr(pure, "_MEMO_ENTRIES", 4)
+    _assert_memo_parity(compiled_kernels)
+
+
+def test_witness_search_memo_needs_a_top_anchor(compiled_kernels):
+    """A single anchor that is not above every other element is never
+    memoized: copies may then use vertices outside its down-set."""
+    cases = [
+        (make_antichain(2), 2, 3),
+        (make_complete_multipartite((2, 1)), 2, 4),
+        (make_boolean_poset(2), 2, 4),
+    ]
+    for p, n, N in cases:
+        for p_anchor, q_anchor in ((p.size - 1, 1), (p.maximal_elements()[0], (1 << n) - 1)):
+            args = list(_search_args(p, n, N, max_nodes=2000))
+            args[3], args[6] = (p_anchor,), q_anchor
+            assert pure.witness_search(*args) == compiled_kernels.witness_search(*args)
+
+
+def test_witness_search_deep_budgeted_agrees_with_compiled(compiled_kernels):
+    """C_4 vs Q_3 at N=6 runs out of a 100k-node budget in both twins alike."""
+    args = _search_args(make_chain(4), 3, 6, max_nodes=100_000)
+    result = pure.witness_search(*args)
+    assert result == compiled_kernels.witness_search(*args)
+    assert result[0] == STATUS_BUDGET
+
+
 def test_witness_search_frozen_node_counts(kernel_backends):
     """Node totals are part of the kernel contract; drift means the search
     order changed, which would silently break witness reproducibility."""

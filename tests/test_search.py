@@ -11,7 +11,6 @@ from poset_ramsey.lattice import Coloring
 from poset_ramsey.posets import Embedding, make_antichain, make_boolean_poset, make_chain
 from poset_ramsey.search import (
     SearchBudget,
-    check_colored_embedding,
     find_colored_copy,
     find_witness,
     ground_permutation_tables,
@@ -24,6 +23,7 @@ from conftest import (
     brute_first_witness,
     brute_has_colored_copy,
     brute_is_witness,
+    check_colored_embedding,
 )
 
 
@@ -220,6 +220,7 @@ def test_ramsey_exact_symmetry_same_answers_and_witnesses():
 def test_ground_permutation_tables_are_permutations():
     for N in (1, 2, 3):
         tables = ground_permutation_tables(N)
+        assert isinstance(tables, tuple)
         assert all(isinstance(table, bytes) for table in tables)
         tables = [list(table) for table in tables]
         # all of S_N except the identity, acting on vertex masks
@@ -235,9 +236,16 @@ def test_ground_permutation_tables_are_permutations():
             assert inverse in tables or inverse == list(range(1 << N))
 
 
+def test_ground_permutation_tables_built_once():
+    for N in (0, 3, 6):
+        assert ground_permutation_tables(N) is ground_permutation_tables(N)
+
+
 def test_ground_permutation_tables_cap():
-    with pytest.raises(ValueError):
-        ground_permutation_tables(7)
+    # a refusal is not cached: every call past the cap raises
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ground_permutation_tables(7)
 
 
 def test_all_colorings_oracle_orders_strings():
