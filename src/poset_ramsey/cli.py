@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or malformed input,
 3 search budget exhausted before a verdict.
+
+Handlers raise ``ValueError`` on bad input; ``main`` alone turns it, or an
+``OSError`` from a file, into exit 2.  Size caps live in the library code that
+owns them; the CLI checks only a builder flag's element count, before building.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from poset_ramsey import _kernels, bounds, extract
 from poset_ramsey.errors import SearchBudgetExceeded
@@ -34,7 +38,7 @@ from poset_ramsey.posets import (
     make_chain,
     make_complete_multipartite,
     make_spindle,
-    poset_from_json_dict,
+    poset_from_json,
     poset_to_dot,
     poset_to_json,
 )
@@ -57,6 +61,13 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _csv_triple(text: str) -> tuple[int, ...]:
+    values = _csv_ints(text)
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"wants exactly R,S,T: {text!r}")
+    return values
+
+
 def _add_poset_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--poset", metavar="FILE", help="poset JSON file")
@@ -72,7 +83,7 @@ def _add_poset_source(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--spindle",
-        type=_csv_ints,
+        type=_csv_triple,
         metavar="R,S,T",
         help="r-chain under an s-antichain under a t-chain",
     )
@@ -81,49 +92,40 @@ def _add_poset_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_text(path: str, parser: argparse.ArgumentParser) -> str:
+_T = TypeVar("_T")
+
+
+def _load(path: str, parse: Callable[[str], _T]) -> _T:
+    """Parse a file with an existing text parser, naming the file on failure.
+
+    ``json`` decodes nested arrays recursively, so a deep file raises
+    ``RecursionError``; it is bad input like any other.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        parser.error(f"cannot read {path}: {exc}")
-        raise AssertionError("unreachable")
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_json(path: str, parser: argparse.ArgumentParser) -> object:
-    text = _read_text(path, parser)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        parser.error(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        raise AssertionError("unreachable")
-
-
-def _load_poset(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Poset:
+def _load_poset(args: argparse.Namespace) -> Poset:
     # building is not linear (make_chain(1024) takes about 0.5 s): refuse first
-    size = _flag_size(args)
-    if size is not None and size * size > DEFAULT_RELATION_BUDGET:
-        parser.error(f"target exceeds the relation budget: size^2 > {DEFAULT_RELATION_BUDGET}")
-    try:
-        if args.poset is not None:
-            return poset_from_json_dict(_load_json(args.poset, parser))
-        if args.chain is not None:
-            return make_chain(args.chain)
-        if args.antichain is not None:
-            return make_antichain(args.antichain)
-        if args.multipartite is not None:
-            return make_complete_multipartite(args.multipartite)
-        if args.spindle is not None:
-            if len(args.spindle) != 3:
-                parser.error("--spindle wants exactly R,S,T")
-            return make_spindle(tuple(args.spindle))
-        return make_boolean_poset(args.boolean)
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
+    if _flag_size(args) ** 2 > DEFAULT_RELATION_BUDGET:
+        raise ValueError(f"target exceeds the relation budget: size^2 > {DEFAULT_RELATION_BUDGET}")
+    if args.poset is not None:
+        return _load(args.poset, poset_from_json)
+    if args.chain is not None:
+        return make_chain(args.chain)
+    if args.antichain is not None:
+        return make_antichain(args.antichain)
+    if args.multipartite is not None:
+        return make_complete_multipartite(args.multipartite)
+    if args.spindle is not None:
+        return make_spindle(args.spindle)
+    return make_boolean_poset(args.boolean)
 
 
-def _flag_size(args: argparse.Namespace) -> int | None:
-    """Element count the builder flags ask for; None for ``--poset``."""
+def _flag_size(args: argparse.Namespace) -> int:
+    """Element count the builder flags ask for; 0 for ``--poset`` (its parser checks)."""
     if args.chain is not None:
         return args.chain
     if args.antichain is not None:
@@ -135,23 +137,7 @@ def _flag_size(args: argparse.Namespace) -> int | None:
     if args.boolean is not None and args.boolean >= 0:
         # 2^N elements: any N past the word width is over it, and cheap to shift
         return 1 << min(args.boolean, _kernels.MAX_TARGET_SIZE)
-    return None
-
-
-def _check_target_width(
-    size: int | None, what: str, parser: argparse.ArgumentParser
-) -> None:
-    """Reject a kernel target over the word width before it is built.
-
-    Building is not linear (a 2000-element chain takes seconds), so an
-    over-size flag must fail before the constructor runs.
-    """
-    if size is None:
-        return
-    try:
-        _kernels.check_word_width(size, what)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return 0
 
 
 def _add_coloring_source(parser: argparse.ArgumentParser) -> None:
@@ -167,20 +153,14 @@ def _add_coloring_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--all-red", action="store_true", help="every vertex red")
 
 
-def _load_coloring(
-    args: argparse.Namespace, split: GroundSplit, parser: argparse.ArgumentParser
-) -> Coloring:
+def _load_coloring(args: argparse.Namespace, split: GroundSplit) -> Coloring:
     # every source holds 2^(n+k) bits, so the dimension is checked first
     if split.total > MAX_COLORING_DIMENSION:
-        parser.error(f"n+k={split.total} exceeds the coloring cap {MAX_COLORING_DIMENSION}")
+        raise ValueError(f"n+k={split.total} exceeds the coloring cap {MAX_COLORING_DIMENSION}")
     if args.coloring is not None:
-        try:
-            coloring = coloring_from_text(_read_text(args.coloring, parser))
-        except ValueError as exc:
-            parser.error(f"{args.coloring}: {exc}")
-            raise AssertionError("unreachable")
+        coloring = _load(args.coloring, coloring_from_text)
         if coloring.dim != split.total:
-            parser.error(
+            raise ValueError(
                 f"coloring dimension {coloring.dim} does not match n+k={split.total}"
             )
         return coloring
@@ -223,14 +203,14 @@ def _emit(text: str, out: str | None) -> None:
 # construct / export-dot
 
 
-def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    poset = _load_poset(args, parser)
+def _cmd_construct(args: argparse.Namespace) -> int:
+    poset = _load_poset(args)
     _emit(poset_to_json(poset), args.out)
     return EXIT_OK
 
 
-def _cmd_export_dot(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    poset = _load_poset(args, parser)
+def _cmd_export_dot(args: argparse.Namespace) -> int:
+    poset = _load_poset(args)
     _emit(poset_to_dot(poset), args.out)
     return EXIT_OK
 
@@ -274,84 +254,77 @@ def _print_spindle_report(report: bounds.SpindleBoundReport) -> None:
     print(f"monotone tail certified: {report.tail_certified}")
 
 
-def _cmd_bound(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_bound(args: argparse.Namespace) -> int:
     n = args.n
-    try:
-        if args.spindle is not None:
-            if len(args.spindle) != 3:
-                parser.error("--spindle wants exactly R,S,T")
-            r, s, t = args.spindle
-            if s >= 2 and s * s > n:
-                print(
-                    "warning: middle layer is large next to n (log s/log n > 1/2); "
-                    "the asymptotic regime does not apply",
-                    file=sys.stderr,
-                )
-            report = bounds.spindle_bound_report(n, r, s, t)
-            if args.json:
-                _emit(json.dumps(_spindle_report_json(report), indent=2), args.out)
-            else:
-                _print_spindle_report(report)
-        elif args.multipartite is not None:
-            layers = args.multipartite
-            if (1 << len(layers)) > n:
-                print(
-                    "warning: more layers than log n; "
-                    "the asymptotic regime does not apply",
-                    file=sys.stderr,
-                )
-            report = bounds.multipartite_bound_report(n, layers)
-            if args.json:
-                data = {
-                    "n": report.n,
-                    "layer_sizes": list(report.layer_sizes),
-                    "t": report.t,
-                    "value": report.value,
-                    "steps": [_spindle_report_json(s) for s in report.steps],
-                }
-                _emit(json.dumps(data, indent=2), args.out)
-            else:
-                print(
-                    f"n = {report.n}, layers {report.layer_sizes}, t = {report.t}"
-                )
-                for i, step in enumerate(report.steps, 1):
-                    tag = f"step {i}: {step.n} -> {step.bound}"
-                    if step.k_star is not None:
-                        tag += f" (k* = {step.k_star})"
-                    print(tag)
-                print(f"bound = {report.value}")
-        elif args.chain_length is not None:
-            value = bounds.chain_bound(args.chain_length, n)
-            if args.json:
-                _emit(
-                    json.dumps(
-                        {"n": n, "chain": args.chain_length, "bound": value}, indent=2
-                    ),
-                    args.out,
-                )
-            else:
-                print(f"bound = n + L - 1 = {value}")
+    if args.spindle is not None:
+        r, s, t = args.spindle
+        if s >= 2 and s * s > n:
+            print(
+                "warning: middle layer is large next to n (log s/log n > 1/2); "
+                "the asymptotic regime does not apply",
+                file=sys.stderr,
+            )
+        report = bounds.spindle_bound_report(n, r, s, t)
+        if args.json:
+            _emit(json.dumps(_spindle_report_json(report), indent=2), args.out)
         else:
-            alpha = bounds.antichain_alpha(args.antichain_size)
-            value = n + alpha
-            if args.json:
-                _emit(
-                    json.dumps(
-                        {
-                            "n": n,
-                            "antichain": args.antichain_size,
-                            "alpha": alpha,
-                            "bound": value,
-                        },
-                        indent=2,
-                    ),
-                    args.out,
-                )
-            else:
-                print(f"alpha = {alpha}")
-                print(f"bound = n + alpha = {value}")
-    except ValueError as exc:
-        parser.error(str(exc))
+            _print_spindle_report(report)
+    elif args.multipartite is not None:
+        layers = args.multipartite
+        if (1 << len(layers)) > n:
+            print(
+                "warning: more layers than log n; "
+                "the asymptotic regime does not apply",
+                file=sys.stderr,
+            )
+        report = bounds.multipartite_bound_report(n, layers)
+        if args.json:
+            data = {
+                "n": report.n,
+                "layer_sizes": list(report.layer_sizes),
+                "t": report.t,
+                "value": report.value,
+                "steps": [_spindle_report_json(s) for s in report.steps],
+            }
+            _emit(json.dumps(data, indent=2), args.out)
+        else:
+            print(f"n = {report.n}, layers {report.layer_sizes}, t = {report.t}")
+            for i, step in enumerate(report.steps, 1):
+                tag = f"step {i}: {step.n} -> {step.bound}"
+                if step.k_star is not None:
+                    tag += f" (k* = {step.k_star})"
+                print(tag)
+            print(f"bound = {report.value}")
+    elif args.chain_length is not None:
+        value = bounds.chain_bound(args.chain_length, n)
+        if args.json:
+            _emit(
+                json.dumps(
+                    {"n": n, "chain": args.chain_length, "bound": value}, indent=2
+                ),
+                args.out,
+            )
+        else:
+            print(f"bound = n + L - 1 = {value}")
+    else:
+        alpha = bounds.antichain_alpha(args.antichain_size)
+        value = n + alpha
+        if args.json:
+            _emit(
+                json.dumps(
+                    {
+                        "n": n,
+                        "antichain": args.antichain_size,
+                        "alpha": alpha,
+                        "bound": value,
+                    },
+                    indent=2,
+                ),
+                args.out,
+            )
+        else:
+            print(f"alpha = {alpha}")
+            print(f"bound = n + alpha = {value}")
     return EXIT_OK
 
 
@@ -359,21 +332,11 @@ def _cmd_bound(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 # exact / witness
 
 
-def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_target_width(_flag_size(args), "target", parser)
-    poset = _load_poset(args, parser)
+def _cmd_exact(args: argparse.Namespace) -> int:
+    _kernels.check_word_width(_flag_size(args), "target")
+    poset = _load_poset(args)
     n_max = args.nmax if args.nmax is not None else args.n + poset.size
-    try:
-        result = ramsey_exact(
-            poset,
-            args.n,
-            n_max,
-            symmetry=args.symmetry,
-            budget=_budget(args),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
+    result = ramsey_exact(poset, args.n, n_max, symmetry=args.symmetry, budget=_budget(args))
     witness_files = {}
     if args.witness_dir is not None:
         out_dir = Path(args.witness_dir)
@@ -407,16 +370,13 @@ def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return EXIT_BUDGET if result.status == "inconclusive" else EXIT_OK
 
 
-def _cmd_witness(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_target_width(_flag_size(args), "target", parser)
-    poset = _load_poset(args, parser)
+def _cmd_witness(args: argparse.Namespace) -> int:
+    _kernels.check_word_width(_flag_size(args), "target")
+    poset = _load_poset(args)
     try:
         witness = find_witness(
             poset, args.n, args.N, symmetry=args.symmetry, budget=_budget(args)
         )
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
     except SearchBudgetExceeded as exc:
         print(f"budget exhausted after {exc.nodes} nodes", file=sys.stderr)
         return EXIT_BUDGET
@@ -447,28 +407,13 @@ def _cmd_witness(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 # extract / verify-cert
 
 
-def _parse_ordering(
-    text: str | None, split: GroundSplit, parser: argparse.ArgumentParser
-) -> YOrdering:
-    if text is None:
-        return YOrdering(split, tuple(split.y_positions()))
-    try:
-        return YOrdering(split, _csv_ints(text))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        parser.error(f"--ordering: {exc}")
-        raise AssertionError("unreachable")
-
-
-def _cmd_extract(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        split = GroundSplit(args.n, args.k)
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
-    coloring = _load_coloring(args, split, parser)
+def _cmd_extract(args: argparse.Namespace) -> int:
+    split = GroundSplit(args.n, args.k)
+    coloring = _load_coloring(args, split)
 
     if args.what == "chain":
-        pi = _parse_ordering(args.ordering, split, parser)
+        order = args.ordering if args.ordering is not None else tuple(split.y_positions())
+        pi = YOrdering(split, order)
         cert = extract.chain_or_red(coloring, split, pi)
         _emit(extract.certificate_to_json(cert), args.out)
         return EXIT_OK
@@ -491,23 +436,16 @@ def _cmd_extract(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
     if args.what == "spindle":
         if args.shape is None:
-            parser.error("--what spindle requires --shape R,S,T")
-        if len(args.shape) != 3:
-            parser.error("--shape wants exactly R,S,T")
+            raise ValueError("--what spindle requires --shape R,S,T")
         r, s, t = args.shape
         orderings = list(all_orderings(split))
         family = extract.collect_chain_family(coloring, split, orderings)
         if isinstance(family, extract.RedQnCert):
             _emit(extract.certificate_to_json(family), args.out)
             return EXIT_OK
-        try:
-            shape = SpindleSpec(r, s, t)
-            classes = extract.pigeonhole_end_classes(family, r, t)
-            cls = classes[0]
-            outcome = extract.assemble_spindle(cls, shape, split)
-        except ValueError as exc:
-            parser.error(str(exc))
-            raise AssertionError("unreachable")
+        shape = SpindleSpec(r, s, t)
+        cls = extract.pigeonhole_end_classes(family, r, t)[0]
+        outcome = extract.assemble_spindle(cls, shape, split)
         if isinstance(outcome, extract.SpindleCert):
             _emit(extract.certificate_to_json(outcome), args.out)
             return EXIT_OK
@@ -531,15 +469,11 @@ def _cmd_extract(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         return EXIT_OK
 
     # clear-vertex classification
-    _check_target_width(args.p1_chain, "--p1-chain", parser)
-    _check_target_width(args.p2_chain, "--p2-chain", parser)
-    try:
-        p1 = make_chain(args.p1_chain)
-        p2 = make_chain(args.p2_chain)
-        result = extract.classify_clear(coloring, split, p1, p2)
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
+    _kernels.check_word_width(args.p1_chain, "--p1-chain")
+    _kernels.check_word_width(args.p2_chain, "--p2-chain")
+    p1 = make_chain(args.p1_chain)
+    p2 = make_chain(args.p2_chain)
+    result = extract.classify_clear(coloring, split, p1, p2)
     data = {
         "kind": "clear_classification",
         "ground": {"n": split.n, "k": split.k},
@@ -553,17 +487,9 @@ def _cmd_extract(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return EXIT_OK
 
 
-def _cmd_verify_cert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        cert = extract.certificate_from_json_dict(_load_json(args.cert, parser))
-    except ValueError as exc:
-        parser.error(f"{args.cert}: {exc}")
-        raise AssertionError("unreachable")
-    try:
-        coloring = coloring_from_text(_read_text(args.coloring, parser))
-    except ValueError as exc:
-        parser.error(f"{args.coloring}: {exc}")
-        raise AssertionError("unreachable")
+def _cmd_verify_cert(args: argparse.Namespace) -> int:
+    cert = _load(args.cert, extract.certificate_from_json)
+    coloring = _load(args.coloring, coloring_from_text)
     problems = extract.verify_certificate(cert, coloring)
     if problems:
         for problem in problems:
@@ -591,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="evaluate an upper-bound formula")
     group = p_bound.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spindle", type=_csv_ints, metavar="R,S,T")
+    group.add_argument("--spindle", type=_csv_triple, metavar="R,S,T")
     group.add_argument("--multipartite", type=_csv_ints, metavar="T1,T2,...")
     group.add_argument("--chain", dest="chain_length", type=int, metavar="L")
     group.add_argument("--antichain", dest="antichain_size", type=int, metavar="T")
@@ -630,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--k", type=int, required=True, help="Y part size")
     _add_coloring_source(p_extract)
     p_extract.add_argument(
-        "--ordering", metavar="Y1,Y2,...", help="Y positions for --what chain"
+        "--ordering", type=_csv_ints, metavar="Y1,Y2,...", help="Y positions for --what chain"
     )
-    p_extract.add_argument("--shape", type=_csv_ints, metavar="R,S,T")
+    p_extract.add_argument("--shape", type=_csv_triple, metavar="R,S,T")
     p_extract.add_argument("--p1-chain", type=int, default=2, metavar="L")
     p_extract.add_argument("--p2-chain", type=int, default=2, metavar="L")
     p_extract.add_argument("--out", metavar="FILE")
@@ -662,7 +588,10 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args, parser)
+    try:
+        return _HANDLERS[args.command](args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

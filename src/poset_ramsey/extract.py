@@ -647,6 +647,8 @@ def check_witness(cert: WitnessCert, coloring: Coloring) -> list[str]:
         return ["coloring dimension differs from the certificate"]
     if not 0 <= cert.target_dimension <= coloring.dim:
         return ["claimed lattice dimension does not fit inside the host"]
+    if max(cert.target.size, 1 << cert.target_dimension) > _kernels.MAX_TARGET_SIZE:
+        return [f"target and lattice are capped at {_kernels.MAX_TARGET_SIZE} elements"]
     result = verify_witness(coloring, cert.target, cert.target_dimension)
     if result.ok:
         return []

@@ -451,6 +451,10 @@ def poset_from_json_dict(data: object) -> Poset:
     size = data.get("size")
     if not isinstance(size, int) or size < 0:
         raise ValueError("poset JSON needs a nonnegative integer 'size'")
+    if size * size > DEFAULT_RELATION_BUDGET:
+        raise ValueError(
+            f"{size} elements exceed the relation budget ({size}^2 > {DEFAULT_RELATION_BUDGET})"
+        )
     edges = data.get("lt")
     if not isinstance(edges, list):
         raise ValueError("poset JSON needs a list 'lt' of [i, j] pairs")

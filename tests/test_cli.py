@@ -4,7 +4,10 @@ and certificate mutation fuzzing through the verify path."""
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 
 from poset_ramsey import cli
 from poset_ramsey.cli import main
+from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import certificate_from_json_dict, verify_certificate
 from poset_ramsey.lattice import Coloring, coloring_from_text, coloring_to_text, write_coloring
 from poset_ramsey.posets import are_isomorphic, make_boolean_poset, make_chain, make_complete_multipartite, poset_from_json
@@ -617,3 +621,115 @@ def test_fuzz_contradiction():
     report = distinctness_contradiction(cls, cover, g)
     coloring = Coloring(2, 0b0101)
     _assert_all_mutations_rejected(certificate_to_json_dict(report), coloring)
+
+
+# ------------------------------------------------------------ error boundary
+
+
+@pytest.mark.parametrize("target_dimension, size", [(7, 1), (1, 65)])
+def test_verify_cert_witness_past_the_word_width_is_a_failed_check(
+    tmp_path, capsys, target_dimension, size
+):
+    # was a ValueError traceback from the kernel's word-width check
+    cert_path = tmp_path / "w.json"
+    cert_path.write_text(json.dumps({
+        "kind": "witness", "dim": 7, "target_dimension": target_dimension,
+        "target": {"size": size, "lt": []},
+    }))
+    col_path = tmp_path / "c.txt"
+    write_coloring(col_path, Coloring(7, 0))
+    code, out, _ = _run(capsys, "verify-cert", "--cert", str(cert_path),
+                        "--coloring", str(col_path))
+    assert code == 1
+    assert out.startswith("FAIL: ") and "capped at 64" in out
+
+
+@pytest.mark.parametrize("what", ["poset", "witness"])
+def test_poset_files_past_the_relation_budget_are_usage_errors(tmp_path, capsys, what):
+    # a 10^15-element list would raise MemoryError if it were allocated
+    poset = {"size": 10**15, "lt": []}
+    path = tmp_path / "p.json"
+    col_path = tmp_path / "c.txt"
+    write_coloring(col_path, Coloring(2, 0))
+    if what == "poset":
+        path.write_text(json.dumps(poset))
+        argv = ("construct", "--poset", str(path))
+    else:
+        path.write_text(json.dumps(
+            {"kind": "witness", "dim": 2, "target_dimension": 1, "target": poset}))
+        argv = ("verify-cert", "--cert", str(path), "--coloring", str(col_path))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, *argv)
+    assert info.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "relation budget" in err and str(path) in err
+
+
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
+    plain_file = tmp_path / "file"
+    plain_file.write_text("")
+    for argv, path in [
+        (("construct", "--chain", "3", "--out"), tmp_path / "missing" / "p.json"),
+        (("exact", "--chain", "2", "--n", "1", "--witness-dir"), plain_file / "w"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            _run(capsys, *argv, str(path))
+        assert info.value.code == 2
+        assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [AssertionError, InvariantViolation])
+def test_internal_faults_are_not_usage_errors(monkeypatch, capsys, fault):
+    def broken(*args, **kwargs):
+        raise fault("internal")
+
+    monkeypatch.setattr(cli, "ramsey_exact", broken)
+    with pytest.raises(fault):
+        main(["exact", "--chain", "2", "--n", "1"])
+
+
+def test_entry_point_exits_2_without_traceback(tmp_path):
+    # an uncaught exception exits 1, the code of a failed certificate, so
+    # the real interpreter exit is checked, one refused input per subcommand
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(
+        {"kind": "witness", "dim": 2, "target_dimension": 1,
+         "target": {"size": 10**15, "lt": []}}))
+    col_path = tmp_path / "c.txt"
+    write_coloring(col_path, Coloring(2, 0))
+    argvs = [
+        ["construct", "--chain", "3", "--out", str(tmp_path / "missing" / "p.json")],
+        ["export-dot", "--chain", "1025"],
+        ["bound", "--spindle", "1,2,1", "--n", "99999999999999"],
+        ["exact", "--chain", "65", "--n", "1"],
+        ["witness", "--chain", "2", "--n", "1", "--N", "25"],
+        ["extract", "--what", "chain", "--n", "20", "--k", "5", "--all-red"],
+        ["verify-cert", "--cert", str(big), "--coloring", str(col_path)],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "poset_ramsey.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        assert "ramsey: error:" in proc.stderr, argv
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    # json decodes arrays recursively: this was a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    col_path = tmp_path / "c.txt"
+    write_coloring(col_path, Coloring(2, 0))
+    for argv in (("construct", "--poset", str(deep)),
+                 ("verify-cert", "--cert", str(deep), "--coloring", str(col_path))):
+        with pytest.raises(SystemExit) as info:
+            _run(capsys, *argv)
+        assert info.value.code == 2
+        assert "recursion" in capsys.readouterr().err
