@@ -63,13 +63,3 @@ def check_word_width(size: int, what: str) -> None:
     if size > MAX_TARGET_SIZE:
         raise ValueError(f"{what} posets are capped at {MAX_TARGET_SIZE} elements")
 
-
-def available_backends() -> dict[str, object]:
-    """Importable kernel modules by name; 'compiled' is absent if unbuilt."""
-    backends: dict[str, object] = {"pure-python": _pure}
-    try:
-        from poset_ramsey._kernels import _ckernels
-        backends["compiled"] = _ckernels
-    except ImportError:
-        pass
-    return backends

@@ -93,17 +93,6 @@ def log2_interval(
     return num_lo - den_hi, num_hi - den_lo
 
 
-def certified_le(
-    a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
-) -> bool | None:
-    """True/False when the intervals decide a <= b, None when they overlap."""
-    if a[1] <= b[0]:
-        return True
-    if a[0] > b[1]:
-        return False
-    return None
-
-
 def format_sci(x: int, digits: int = 3) -> str:
     """Scientific-notation rendering of an arbitrarily large integer.
 

@@ -449,12 +449,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         if isinstance(outcome, extract.SpindleCert):
             _emit(extract.certificate_to_json(outcome), args.out)
             return EXIT_OK
+        extract.distinctness_contradiction(cls, outcome)
         _, masks = extract.class_induced_poset(cls)
-        needed = len(outcome.chains) ** (split.k + 1)
-        if len(cls.members) > needed:
-            report = extract.distinctness_contradiction(cls, outcome, split)
-            _emit(extract.certificate_to_json(report), args.out)
-            return EXIT_OK
         data = {
             "kind": "chain_cover",
             "ground": {"n": split.n, "k": split.k},

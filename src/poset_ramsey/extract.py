@@ -1,14 +1,17 @@
 """Certificate-producing procedures behind the upper-bound arguments.
 
-Three pipelines, each emitting a certificate that an independent checker
-re-verifies from lattice primitives alone:
+Three pipelines; each blue chain, red cube and spindle they find is a
+certificate that an independent checker re-verifies from lattice primitives
+alone:
 
   * the chain-or-red dichotomy: every coloring of a split lattice yields a
     blue prefix chain for a given Y-ordering or a red copy of the full
     X-dimensional lattice;
   * the chain family / pigeonhole / Dilworth pipeline: many orderings give
     many blue chains, shared end vertices give a class, and the class either
-    contains a blue spindle or forces a counting contradiction;
+    contains a blue spindle or has a chain cover with fewer than s chains,
+    on which ``distinctness_contradiction`` checks the paper's counting
+    lemma;
   * the clear-vertex classification used when bounds compose under gluing.
 """
 
@@ -31,8 +34,8 @@ from poset_ramsey.posets import (
     ChainCover,
     Poset,
     SpindleSpec,
-    check_chain_cover,
     dilworth_cover,
+    is_json_int,
     max_antichain,
     poset_from_json_dict,
     poset_to_json_dict,
@@ -80,13 +83,11 @@ class EndClass:
 
     ``indices`` lists the fixed chain positions (low r and high t); the entry
     at ``end_vertices[j]`` is the shared mask at position ``indices[j]``.
-    ``member_positions`` points back into the originating family.
     """
 
     indices: tuple[int, ...]
     end_vertices: tuple[int, ...]
     members: tuple[tuple[YOrdering, BlueChainCert], ...]
-    member_positions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -101,26 +102,6 @@ class SpindleCert:
 
     def all_vertices(self) -> tuple[int, ...]:
         return self.lower + self.middle + self.upper
-
-
-@dataclass(frozen=True)
-class ContradictionReport:
-    """Pigeonhole collision: two family members with identical chain labelings.
-
-    Each member chain is labeled by the cover chain owning its vertex at each
-    level; with at most c cover chains there are only c^(k+1) labels, so a
-    large enough class repeats one.  Equal labels force equal Y-parts at
-    every level (a chain of masks has at most one Y-part per cardinality),
-    which pins both members to the same ordering prefix tower.
-    """
-
-    split: GroundSplit
-    orderings: tuple[tuple[int, ...], ...]
-    member_chains: tuple[tuple[int, ...], ...]
-    cover_chains: tuple[tuple[int, ...], ...]
-    y_restrictions: tuple[tuple[tuple[int, int], ...], ...]
-    labels: tuple[tuple[int, ...], ...]
-    pair: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -150,9 +131,7 @@ class WitnessCert:
     target: Poset
 
 
-Certificate = (
-    BlueChainCert | RedQnCert | SpindleCert | ContradictionReport | WitnessCert
-)
+Certificate = BlueChainCert | RedQnCert | SpindleCert | WitnessCert
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +261,20 @@ def pigeonhole_end_classes(family: ChainFamily, r: int, t: int) -> list[EndClass
     Ties keep first-appearance order, so the result is deterministic.
     """
     indices = end_indices(family.split.k, r, t)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for j, (_, cert) in enumerate(family.entries):
-        key = tuple(cert.vertices[i] for i in indices)
-        groups.setdefault(key, []).append(j)
+    groups: dict[tuple[int, ...], list[tuple[YOrdering, BlueChainCert]]] = {}
+    for entry in family.entries:
+        key = tuple(entry[1].vertices[i] for i in indices)
+        groups.setdefault(key, []).append(entry)
     classes = [
-        EndClass(
-            indices=indices,
-            end_vertices=key,
-            members=tuple(family.entries[j] for j in positions),
-            member_positions=tuple(positions),
-        )
-        for key, positions in groups.items()
+        EndClass(indices=indices, end_vertices=key, members=tuple(members))
+        for key, members in groups.items()
     ]
     classes.sort(key=lambda c: -len(c.members))
     return classes
+
+
+def _class_masks(cls: EndClass) -> tuple[int, ...]:
+    return tuple(sorted({v for _, cert in cls.members for v in cert.vertices}))
 
 
 def class_induced_poset(cls: EndClass) -> tuple[Poset, tuple[int, ...]]:
@@ -305,7 +283,7 @@ def class_induced_poset(cls: EndClass) -> tuple[Poset, tuple[int, ...]]:
     Vertices shared between chains are deduplicated; element i of the poset
     is ``masks[i]`` and the order is strict mask containment.
     """
-    masks = tuple(sorted({v for _, cert in cls.members for v in cert.vertices}))
+    masks = _class_masks(cls)
     up = []
     for a in masks:
         bits = 0
@@ -325,8 +303,8 @@ def assemble_spindle(
     s-antichain consists of non-end vertices (ends are comparable to the
     whole class poset) and those sit strictly between the two chains.  When
     the maximum antichain is smaller than s the minimum chain cover comes
-    back instead: it has at most s-1 chains and feeds the counting
-    contradiction.
+    back instead: it has at most s-1 chains, and ``distinctness_contradiction``
+    checks the counting lemma on it.
     """
     if not cls.members:
         raise ValueError("class has no members")
@@ -352,76 +330,29 @@ def assemble_spindle(
     return dilworth_cover(poset)
 
 
-def chain_y_restrictions(
-    chain_masks: Sequence[int], g: GroundSplit
-) -> tuple[tuple[int, int], ...]:
-    """Pairs (cardinality, Y-part) realized along one chain of masks.
+def distinctness_contradiction(cls: EndClass, cover: ChainCover) -> None:
+    """The counting lemma on a class and a chain cover of its poset.
 
-    Masks on a chain with equally sized Y-parts have equal Y-parts, so each
-    cardinality occurs at most once; a violation means the input was not a
-    chain and raises :class:`InvariantViolation`.
+    Each member is labeled, level by level, by the cover chain that owns its
+    vertex.  Two comparable masks with equally many Y bits have equal Y-parts,
+    so members with one labeling share every Y-part and hence their ordering.
+    Members of a family have distinct orderings, so the labeling is injective
+    and a cover with c chains bounds the class by c^(k+1) members.  The first
+    repeated labeling raises :class:`InvariantViolation`; a cover that does
+    not partition the class poset raises ``ValueError``.
     """
-    by_size: dict[int, int] = {}
-    for mask in chain_masks:
-        y_part = mask & g.y_mask
-        size = y_part.bit_count()
-        if size in by_size and by_size[size] != y_part:
-            raise InvariantViolation(
-                f"two different {size}-bit Y-parts on one chain"
-            )
-        by_size[size] = y_part
-    return tuple(sorted(by_size.items()))
-
-
-def distinctness_contradiction(
-    cls: EndClass, cover: ChainCover, g: GroundSplit
-) -> ContradictionReport:
-    """Labeling collision proving the class poset cannot cover this many chains.
-
-    Each member is labeled, level by level, with the cover chain owning its
-    vertex; a cover with c chains admits c^(k+1) labels, so a class larger
-    than that repeats one.  The colliding pair then shares all Y-parts, which
-    determines the ordering prefix tower twice over.
-    """
-    poset, masks = class_induced_poset(cls)
-    problems = check_chain_cover(poset, cover)
-    if problems:
-        raise ValueError("cover does not partition the class poset: " + problems[0])
-    c = len(cover.chains)
-    k = g.k
-    if len(cls.members) <= c ** (k + 1):
-        raise ValueError(
-            f"pigeonhole needs more than {c}^{k + 1} members, "
-            f"got {len(cls.members)}"
-        )
-    owner = [0] * poset.size
-    for ci, chain in enumerate(cover.chains):
-        for e in chain:
-            owner[e] = ci
-    index_of = {m: i for i, m in enumerate(masks)}
-    cover_masks = tuple(tuple(masks[e] for e in chain) for chain in cover.chains)
-    restrictions = tuple(chain_y_restrictions(chain, g) for chain in cover_masks)
-    labels = tuple(
-        tuple(owner[index_of[v]] for v in cert.vertices) for _, cert in cls.members
-    )
+    masks = _class_masks(cls)
+    if sorted(e for chain in cover.chains for e in chain) != list(range(len(masks))):
+        raise ValueError("cover does not partition the class poset")
+    owner = {masks[e]: ci for ci, chain in enumerate(cover.chains) for e in chain}
     first_seen: dict[tuple[int, ...], int] = {}
-    pair = None
-    for j, label in enumerate(labels):
+    for j, (_, cert) in enumerate(cls.members):
+        label = tuple(owner[v] for v in cert.vertices)
         if label in first_seen:
-            pair = (first_seen[label], j)
-            break
+            raise InvariantViolation(
+                f"class members {first_seen[label]} and {j} share the labeling {label}"
+            )
         first_seen[label] = j
-    if pair is None:
-        raise InvariantViolation("no label collision despite pigeonhole bound")
-    return ContradictionReport(
-        split=g,
-        orderings=tuple(pi.order for pi, _ in cls.members),
-        member_chains=tuple(cert.vertices for _, cert in cls.members),
-        cover_chains=cover_masks,
-        y_restrictions=restrictions,
-        labels=labels,
-        pair=pair,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -573,75 +504,6 @@ def check_spindle(cert: SpindleCert, coloring: Coloring) -> list[str]:
     return problems
 
 
-def check_contradiction(report: ContradictionReport, coloring: Coloring) -> list[str]:
-    problems = []
-    g = report.split
-    if coloring.dim != g.total:
-        return ["coloring dimension differs from the certificate split"]
-    counts = {
-        len(report.orderings),
-        len(report.member_chains),
-        len(report.labels),
-    }
-    if len(counts) != 1:
-        return ["member field lengths disagree"]
-    member_vertices = {v for chain in report.member_chains for v in chain}
-    for j, (order, chain) in enumerate(zip(report.orderings, report.member_chains)):
-        try:
-            pi = YOrdering(g, tuple(order))
-        except ValueError as exc:
-            problems.append(f"member {j} ordering invalid: {exc}")
-            continue
-        if len(chain) != g.k + 1:
-            problems.append(f"member {j} chain length is not k+1")
-            continue
-        for i, v in enumerate(chain):
-            if v < 0 or v >> g.total:
-                problems.append(f"member {j} vertex {i} outside the lattice")
-                break
-            if not coloring.is_blue(v):
-                problems.append(f"member {j} vertex {i} is not blue")
-            if v & g.y_mask != prefix_mask(pi, i):
-                problems.append(f"member {j} vertex {i} has the wrong Y-part")
-    owner: dict[int, int] = {}
-    for ci, chain in enumerate(report.cover_chains):
-        for a, b in zip(chain, chain[1:]):
-            if not (pair_leq(a, b) and a != b):
-                problems.append(f"cover chain {ci} does not ascend at {a}, {b}")
-        for v in chain:
-            if v in owner:
-                problems.append(f"vertex {v} appears in two cover chains")
-            owner[v] = ci
-    if member_vertices - owner.keys():
-        problems.append("cover chains miss some member vertices")
-    if problems:
-        return problems
-    for ci, chain in enumerate(report.cover_chains):
-        try:
-            expected = chain_y_restrictions(chain, g)
-        except InvariantViolation as exc:
-            return [f"cover chain {ci}: {exc}"]
-        if expected != report.y_restrictions[ci]:
-            problems.append(f"cover chain {ci} Y-restrictions disagree")
-    for j, chain in enumerate(report.member_chains):
-        expected_label = tuple(owner[v] for v in chain)
-        if expected_label != report.labels[j]:
-            problems.append(f"member {j} label does not match the cover")
-    j1, j2 = report.pair
-    if not (0 <= j1 < len(report.labels) and 0 <= j2 < len(report.labels)):
-        return problems + ["collision pair out of range"]
-    if j1 == j2:
-        problems.append("collision pair names one member twice")
-    if report.labels[j1] != report.labels[j2]:
-        problems.append("collision pair labelings differ")
-    for i, (a, b) in enumerate(
-        zip(report.member_chains[j1], report.member_chains[j2])
-    ):
-        if a & g.y_mask != b & g.y_mask:
-            problems.append(f"collision pair Y-parts differ at level {i}")
-    return problems
-
-
 def check_witness(cert: WitnessCert, coloring: Coloring) -> list[str]:
     if coloring.dim != cert.dim:
         return ["coloring dimension differs from the certificate"]
@@ -666,8 +528,6 @@ def verify_certificate(cert: Certificate, coloring: Coloring) -> list[str]:
         return check_red_qn(cert, coloring)
     if isinstance(cert, SpindleCert):
         return check_spindle(cert, coloring)
-    if isinstance(cert, ContradictionReport):
-        return check_contradiction(cert, coloring)
     if isinstance(cert, WitnessCert):
         return check_witness(cert, coloring)
     raise TypeError(f"not a certificate: {type(cert).__name__}")
@@ -701,20 +561,6 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
             "middle": list(cert.middle),
             "upper": list(cert.upper),
         }
-    if isinstance(cert, ContradictionReport):
-        return {
-            "kind": "contradiction",
-            "ground": {"n": cert.split.n, "k": cert.split.k},
-            "orderings": [list(o) for o in cert.orderings],
-            "member_chains": [list(c) for c in cert.member_chains],
-            "cover_chains": [list(c) for c in cert.cover_chains],
-            "y_restrictions": [
-                [[size, mask] for size, mask in chain]
-                for chain in cert.y_restrictions
-            ],
-            "labels": [list(label) for label in cert.labels],
-            "pair": list(cert.pair),
-        }
     if isinstance(cert, WitnessCert):
         return {
             "kind": "witness",
@@ -732,9 +578,7 @@ def _require(data: dict, key: str, kind: str) -> object:
 
 
 def _int_list(value: object, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
         raise ValueError(f"{what} must be a list of integers")
     return tuple(value)
 
@@ -744,7 +588,7 @@ def _ground(data: dict, kind: str) -> GroundSplit:
     if not isinstance(raw, dict):
         raise ValueError("ground must be an object with n and k")
     n, k = raw.get("n"), raw.get("k")
-    if not isinstance(n, int) or not isinstance(k, int):
+    if not is_json_int(n) or not is_json_int(k):
         raise ValueError("ground must carry integer n and k")
     return GroundSplit(n, k)
 
@@ -764,7 +608,7 @@ def certificate_from_json_dict(data: object) -> Certificate:
     if kind == "red_qn":
         g = _ground(data, kind)
         dim = _require(data, "target_dimension", kind)
-        if not isinstance(dim, int) or dim < 0:
+        if not is_json_int(dim) or dim < 0:
             raise ValueError("target_dimension must be a nonnegative integer")
         return RedQnCert(
             split=g,
@@ -775,7 +619,7 @@ def certificate_from_json_dict(data: object) -> Certificate:
         g = _ground(data, kind)
         raw_shape = _require(data, "shape", kind)
         if not isinstance(raw_shape, dict) or not all(
-            isinstance(raw_shape.get(f), int) for f in ("r", "s", "t")
+            is_json_int(raw_shape.get(f)) for f in ("r", "s", "t")
         ):
             raise ValueError("shape must carry integer r, s, t")
         shape = SpindleSpec(raw_shape["r"], raw_shape["s"], raw_shape["t"])
@@ -786,52 +630,12 @@ def certificate_from_json_dict(data: object) -> Certificate:
             middle=_int_list(_require(data, "middle", kind), "middle"),
             upper=_int_list(_require(data, "upper", kind), "upper"),
         )
-    if kind == "contradiction":
-        g = _ground(data, kind)
-        orderings = _require(data, "orderings", kind)
-        member_chains = _require(data, "member_chains", kind)
-        cover_chains = _require(data, "cover_chains", kind)
-        restrictions = _require(data, "y_restrictions", kind)
-        labels = _require(data, "labels", kind)
-        pair = _int_list(_require(data, "pair", kind), "pair")
-        for name, value in (
-            ("orderings", orderings),
-            ("member_chains", member_chains),
-            ("cover_chains", cover_chains),
-            ("labels", labels),
-        ):
-            if not isinstance(value, list):
-                raise ValueError(f"{name} must be a list")
-        if not isinstance(restrictions, list):
-            raise ValueError("y_restrictions must be a list")
-        if len(pair) != 2:
-            raise ValueError("pair must hold exactly two member indexes")
-        parsed_restrictions = []
-        for chain in restrictions:
-            if not isinstance(chain, list):
-                raise ValueError("y_restrictions entries must be lists")
-            pairs = []
-            for item in chain:
-                entry = _int_list(item, "y_restriction entry")
-                if len(entry) != 2:
-                    raise ValueError("y_restriction entries must be [size, mask]")
-                pairs.append((entry[0], entry[1]))
-            parsed_restrictions.append(tuple(pairs))
-        return ContradictionReport(
-            split=g,
-            orderings=tuple(_int_list(o, "ordering") for o in orderings),
-            member_chains=tuple(_int_list(c, "member chain") for c in member_chains),
-            cover_chains=tuple(_int_list(c, "cover chain") for c in cover_chains),
-            y_restrictions=tuple(parsed_restrictions),
-            labels=tuple(_int_list(label, "label") for label in labels),
-            pair=(pair[0], pair[1]),
-        )
     if kind == "witness":
         dim = _require(data, "dim", kind)
         target_dim = _require(data, "target_dimension", kind)
-        if not isinstance(dim, int) or dim < 0:
+        if not is_json_int(dim) or dim < 0:
             raise ValueError("dim must be a nonnegative integer")
-        if not isinstance(target_dim, int) or target_dim < 0:
+        if not is_json_int(target_dim) or target_dim < 0:
             raise ValueError("target_dimension must be a nonnegative integer")
         return WitnessCert(
             dim=dim,

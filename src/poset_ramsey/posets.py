@@ -75,10 +75,6 @@ class Poset:
     def comparable(self, i: int, j: int) -> bool:
         return i == j or self.lt(i, j) or self.lt(j, i)
 
-    @cached_property
-    def relation_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.up)
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         """All strict pairs (i, j) with i < j, ascending."""
         for i in range(self.size):
@@ -93,20 +89,6 @@ class Poset:
 
     def minimal_elements(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if not self.down[i])
-
-    def restrict(self, elements: Sequence[int]) -> "Poset":
-        """Induced subposet on the given elements, in the given order."""
-        if len(set(elements)) != len(elements):
-            raise ValueError("restriction elements must be distinct")
-        index = {e: i for i, e in enumerate(elements)}
-        up = []
-        for e in elements:
-            mask = 0
-            for f, i in index.items():
-                if self.lt(e, f):
-                    mask |= 1 << i
-            up.append(mask)
-        return Poset(len(elements), tuple(up))
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
@@ -368,25 +350,6 @@ def dilworth_cover(p: Poset) -> ChainCover:
     return ChainCover(tuple(chains))
 
 
-def check_chain_cover(p: Poset, cover: ChainCover) -> list[str]:
-    """Problems list (empty = valid): disjoint, covering, chains ascending."""
-    problems = []
-    seen: set[int] = set()
-    for ci, chain in enumerate(cover.chains):
-        if not chain:
-            problems.append(f"chain {ci} is empty")
-        for e in chain:
-            if e in seen:
-                problems.append(f"element {e} appears in more than one chain")
-            seen.add(e)
-        for a, b in zip(chain, chain[1:]):
-            if not p.lt(a, b):
-                problems.append(f"chain {ci} is not ascending at ({a}, {b})")
-    if seen != set(range(p.size)):
-        problems.append("chains do not cover every element")
-    return problems
-
-
 def find_poset_copy(target: Poset, host: Poset) -> Embedding | None:
     """First induced copy of ``target`` inside ``host``, or None.
 
@@ -439,6 +402,12 @@ def transitive_reduction(p: Poset) -> list[tuple[int, int]]:
     return edges
 
 
+def is_json_int(value: object) -> bool:
+    """An integer from decoded JSON; ``true`` and ``false`` decode to bools,
+    which ``isinstance(value, int)`` would accept."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def poset_to_json_dict(p: Poset) -> dict:
     """Serializable form; stores the transitive reduction only."""
     return {"size": p.size, "lt": [list(e) for e in transitive_reduction(p)]}
@@ -449,7 +418,7 @@ def poset_from_json_dict(data: object) -> Poset:
     if not isinstance(data, dict):
         raise ValueError("poset JSON must be an object")
     size = data.get("size")
-    if not isinstance(size, int) or size < 0:
+    if not is_json_int(size) or size < 0:
         raise ValueError("poset JSON needs a nonnegative integer 'size'")
     if size * size > DEFAULT_RELATION_BUDGET:
         raise ValueError(
@@ -463,7 +432,7 @@ def poset_from_json_dict(data: object) -> Poset:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
+            or not all(is_json_int(x) for x in pair)
         ):
             raise ValueError(f"lt[{idx}] is not a pair of integers")
         i, j = pair

@@ -7,8 +7,9 @@ every coloring.  Slow on purpose; keep the sizes tiny.
 The ``kernel_backends`` and ``compiled_kernels`` fixtures give the kernel
 twins to compare; they build the compiled twin from ``_ckernels.c`` with
 ``setup.py build_ext``, as ``pip`` does, into a temporary directory.
-``_splitmix64`` is the frozen scalar reference for ``random_coloring``, and
-``check_colored_embedding`` re-verifies an embedding from first principles.
+``_splitmix64`` is the frozen scalar reference for ``random_coloring``,
+``check_colored_embedding`` re-verifies an embedding from first principles,
+and ``check_chain_cover`` is the oracle for ``dilworth_cover``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from pathlib import Path
 
 import pytest
 
-from poset_ramsey._kernels import available_backends
+from poset_ramsey._kernels import pure
 from poset_ramsey.lattice import Coloring
-from poset_ramsey.posets import Embedding, Poset
+from poset_ramsey.posets import ChainCover, Embedding, Poset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CKERNELS_MODULE = "poset_ramsey._kernels._ckernels"
@@ -75,7 +76,7 @@ def compiled_build(tmp_path_factory) -> object:
 @pytest.fixture(scope="session")
 def kernel_backends(compiled_build) -> dict[str, object]:
     """Kernel twins by name: always "pure-python", "compiled" when buildable."""
-    backends = {"pure-python": available_backends()["pure-python"]}
+    backends: dict[str, object] = {"pure-python": pure}
     if not isinstance(compiled_build, str):
         backends["compiled"] = compiled_build
     return backends
@@ -133,6 +134,25 @@ def check_colored_embedding(
             got = (images[i] & images[j]) == images[i] and images[i] != images[j]
             if want != got:
                 problems.append(f"pair ({i}, {j}) breaks induced order")
+    return problems
+
+
+def check_chain_cover(p: Poset, cover: ChainCover) -> list[str]:
+    """Problems list (empty = valid): disjoint, covering, chains ascending."""
+    problems = []
+    seen: set[int] = set()
+    for ci, chain in enumerate(cover.chains):
+        if not chain:
+            problems.append(f"chain {ci} is empty")
+        for e in chain:
+            if e in seen:
+                problems.append(f"element {e} appears in more than one chain")
+            seen.add(e)
+        for a, b in zip(chain, chain[1:]):
+            if not p.lt(a, b):
+                problems.append(f"chain {ci} is not ascending at ({a}, {b})")
+    if seen != set(range(p.size)):
+        problems.append("chains do not cover every element")
     return problems
 
 

@@ -22,13 +22,13 @@ from poset_ramsey.bounds import (
     spindle_bound_report,
     spindle_upper_bound,
 )
+from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import (
     BlueChainCert,
     ChainFamily,
     SpindleCert,
     assemble_spindle,
     chain_or_red,
-    check_contradiction,
     check_spindle,
     classify_clear,
     collect_chain_family,
@@ -176,9 +176,10 @@ def test_criterion_8_clear_disjunction():
         assert checked == 1000
 
 
-def _random_family(rng: random.Random, k: int, s: int, r: int, t: int):
-    """Synthetic chain family with shared ends and enough members for the
-    pigeonhole step whenever the antichain comes up short."""
+def _repeated_ordering_family(rng: random.Random, k: int, s: int, r: int, t: int):
+    """Synthetic chain family of one ordering listed many times, with shared
+    ends and more members than the counting lemma allows whenever the
+    antichain comes up short."""
     g = GroundSplit(2, k)
     pi = YOrdering(g, tuple(g.y_positions()))
     members = 2 if s == 1 else (s - 1) ** (k + 1) + 1
@@ -199,30 +200,39 @@ def _random_family(rng: random.Random, k: int, s: int, r: int, t: int):
 
 
 def test_criterion_9_synthetic_pipeline_dichotomy():
-    with criterion(9, "spindle or coordinatewise collision on every family"):
-        rng = random.Random(2024)
+    with criterion(9, "spindle, or a cover within the counting lemma, on every class"):
         shapes = [(k, s, r, t)
                   for k in (1, 2, 3)
                   for s in (1, 2, 3)
                   for r, t in ((1, 1), (0, 1), (1, 0))
                   if r + t <= k + 1 and not (s == 1 and k < r + t)]
+        shared_covers = 0
         for k, s, r, t in shapes:
-            for trial in range(20):
-                g, fam = _random_family(rng, k, s, r, t)
-                blue = 0
-                for _, cert in fam.entries:
-                    for v in cert.vertices:
-                        blue |= 1 << v
-                coloring = Coloring(g.total, blue)
+            g = GroundSplit(2, k)
+            orderings = list(all_orderings(g))
+            for seed in range(20):
+                density = Fraction(3, 4) if seed % 2 else Fraction(7, 8)
+                coloring = random_coloring(g, seed, density)
+                fam = collect_chain_family(coloring, g, orderings)
+                if not isinstance(fam, ChainFamily):
+                    continue
+                for cls in pigeonhole_end_classes(fam, r, t):
+                    out = assemble_spindle(cls, SpindleSpec(r, s, t), g)
+                    if isinstance(out, SpindleCert):
+                        assert check_spindle(out, coloring) == [], (k, s, r, t, seed)
+                        continue
+                    assert isinstance(out, ChainCover)
+                    distinctness_contradiction(cls, out)
+                    assert len(cls.members) <= len(out.chains) ** (k + 1)
+                    shared_covers += len(cls.members) > 1
+        assert shared_covers > 0
+        # one ordering repeated: every cover trips the lemma check
+        rng = random.Random(2024)
+        for k, s, r, t in shapes:
+            for _ in range(20):
+                g, fam = _repeated_ordering_family(rng, k, s, r, t)
                 cls = pigeonhole_end_classes(fam, r, t)[0]
                 out = assemble_spindle(cls, SpindleSpec(r, s, t), g)
-                if isinstance(out, SpindleCert):
-                    assert check_spindle(out, coloring) == [], (k, s, r, t, trial)
-                else:
-                    assert isinstance(out, ChainCover)
-                    report = distinctness_contradiction(cls, out, g)
-                    i, j = report.pair
-                    assert report.labels[i] == report.labels[j]
-                    for a, b in zip(report.member_chains[i], report.member_chains[j]):
-                        assert a & g.y_mask == b & g.y_mask
-                    assert check_contradiction(report, coloring) == [], (k, s, r, t, trial)
+                if isinstance(out, ChainCover):
+                    with pytest.raises(InvariantViolation):
+                        distinctness_contradiction(cls, out)

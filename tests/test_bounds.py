@@ -15,7 +15,6 @@ from poset_ramsey.bounds import (
     _log2_int_interval,
     SpindleBoundParams,
     antichain_alpha,
-    certified_le,
     chain_bound,
     claim_holds,
     claim_sides,
@@ -132,15 +131,6 @@ def test_log2_interval_on_fractions():
             assert log2_interval(x, q) == (num_lo - den_hi, num_hi - den_lo), (x, q)
         lo, hi = log2_interval(x)
         assert float(lo) <= math.log2(x.numerator) - math.log2(x.denominator) <= float(hi)
-
-
-def test_certified_le():
-    one = (Fraction(1), Fraction(1))
-    two = (Fraction(2), Fraction(2))
-    wide = (Fraction(1, 2), Fraction(3, 2))
-    assert certified_le(one, two) is True
-    assert certified_le(two, one) is False
-    assert certified_le(one, wide) is None
 
 
 def test_format_sci():

@@ -597,30 +597,24 @@ def test_fuzz_red_qn(tmp_path, capsys):
     _assert_all_mutations_rejected(original, coloring)
 
 
-def test_fuzz_contradiction():
-    from poset_ramsey.extract import (
-        BlueChainCert,
-        ChainFamily,
-        assemble_spindle,
-        certificate_to_json_dict,
-        distinctness_contradiction,
-        pigeonhole_end_classes,
-    )
-    from poset_ramsey.lattice import GroundSplit, YOrdering
-    from poset_ramsey.posets import ChainCover, SpindleSpec
-
-    # two identical members over a one-chain cover: the collision pair is
-    # forced and unique, so every flip lands outside the valid certificate
-    g = GroundSplit(1, 1)
-    pi = YOrdering(g, (1,))
-    cert = BlueChainCert(g, pi, (0, 0b10))
-    fam = ChainFamily(g, ((pi, cert), (pi, cert)))
-    cls = pigeonhole_end_classes(fam, 1, 1)[0]
-    cover = assemble_spindle(cls, SpindleSpec(1, 2, 1), g)
-    assert isinstance(cover, ChainCover)
-    report = distinctness_contradiction(cls, cover, g)
-    coloring = Coloring(2, 0b0101)
-    _assert_all_mutations_rejected(certificate_to_json_dict(report), coloring)
+def test_verify_cert_refuses_the_retired_contradiction_kind(tmp_path, capsys):
+    # a labeling-collision report whose only content is one ordering listed
+    # twice; it proved nothing, and it is no longer a certificate kind
+    cert_path = tmp_path / "report.json"
+    cert_path.write_text(json.dumps({
+        "kind": "contradiction", "ground": {"n": 1, "k": 1},
+        "orderings": [[1], [1]], "member_chains": [[0, 2], [0, 2]],
+        "cover_chains": [[0, 2]], "y_restrictions": [[[0, 0], [1, 2]]],
+        "labels": [[0, 0], [0, 0]], "pair": [0, 1],
+    }))
+    col_path = tmp_path / "c.txt"
+    write_coloring(col_path, Coloring(2, 0b0101))
+    with pytest.raises(SystemExit) as info:
+        main(["verify-cert", "--cert", str(cert_path), "--coloring", str(col_path)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown certificate kind: 'contradiction'" in captured.err
 
 
 # ------------------------------------------------------------ error boundary

@@ -1,5 +1,5 @@
 """Proof-extraction procedures: blue prefix chains, chain families,
-pigeonhole end classes, spindle assembly, distinctness contradictions,
+pigeonhole end classes, spindle assembly, the counting lemma check,
 clear classification, and certificate round trips."""
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import (
     BlueChainCert,
     ChainFamily,
-    ContradictionReport,
     RedQnCert,
     SpindleCert,
     WitnessCert,
@@ -30,9 +29,7 @@ from poset_ramsey.extract import (
     certificate_to_json,
     certificate_to_json_dict,
     chain_or_red,
-    chain_y_restrictions,
     check_blue_chain,
-    check_contradiction,
     check_red_qn,
     check_spindle,
     check_witness,
@@ -569,10 +566,6 @@ def test_verify_certificate_needs_no_search_layer(monkeypatch):
     cube = chain_or_red(all_red, g, _ascending(g))
     spindle = SpindleCert(GroundSplit(1, 2), SpindleSpec(1, 2, 1),
                           (0,), (0b010, 0b100), (0b110,))
-    sg, fam = _synthetic_family_s3()
-    cls = pigeonhole_end_classes(fam, 1, 1)[0]
-    report = distinctness_contradiction(cls, assemble_spindle(cls, SpindleSpec(1, 3, 1), sg), sg)
-    member_blue = Coloring(4, sum(1 << v for v in {v for c in report.member_chains for v in c}))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a certificate checker called into the search layer")
@@ -580,21 +573,23 @@ def test_verify_certificate_needs_no_search_layer(monkeypatch):
     monkeypatch.setattr(_kernels, "find_induced_copy", refuse)
     monkeypatch.setattr(posets, "make_boolean_poset", refuse)
     cases = [(chain, all_blue, all_red), (cube, all_red, all_blue),
-             (spindle, all_blue, all_red), (report, member_blue, Coloring(4, 0))]
+             (spindle, all_blue, all_red)]
     for cert, good, bad in cases:
         assert verify_certificate(cert, good) == []
         assert verify_certificate(cert, bad) != []
 
 
-# ------------------------------------------------- distinctness pigeonhole
+# ------------------------------------------------------- counting lemma
 
 
 def _synthetic_family_s3():
-    """Nine members sharing both ends over a width-2 middle layer.
+    """Nine members, all of one ordering, sharing both ends over a width-2
+    middle layer.
 
     The middles repeat x-parts from two nested towers, so the class poset
     has no 3-element antichain and the cover has two chains; with 9 > 2^3
-    members the pigeonhole pair must exist.
+    members two of them share a labeling, which the counting lemma rules
+    out for a family of distinct orderings.
     """
     g = GroundSplit(2, 2)
     pi = _ascending(g)
@@ -609,7 +604,7 @@ def _synthetic_family_s3():
 
 
 def test_distinctness_contradiction_trivial_pair():
-    # two identical chains, one cover chain: the pair is forced
+    # one ordering listed twice: both members get the one cover chain's label
     g = GroundSplit(1, 1)
     pi = _ascending(g)
     cert = BlueChainCert(g, pi, (0, 0b10))
@@ -617,10 +612,8 @@ def test_distinctness_contradiction_trivial_pair():
     cls = pigeonhole_end_classes(fam, 1, 1)[0]
     out = assemble_spindle(cls, SpindleSpec(1, 2, 1), g)
     assert isinstance(out, ChainCover)
-    report = distinctness_contradiction(cls, out, g)
-    assert report.pair == (0, 1)
-    c = Coloring(2, 0b0101)
-    assert check_contradiction(report, c) == []
+    with pytest.raises(InvariantViolation, match="members 0 and 1"):
+        distinctness_contradiction(cls, out)
 
 
 def test_distinctness_contradiction_synthetic_width_two():
@@ -630,18 +623,10 @@ def test_distinctness_contradiction_synthetic_width_two():
     out = assemble_spindle(cls, SpindleSpec(1, 3, 1), g)
     assert isinstance(out, ChainCover)
     assert len(out.chains) == 2
-    report = distinctness_contradiction(cls, out, g)
-    i, j = report.pair
-    assert i != j
-    assert report.labels[i] == report.labels[j]
-    # the paired members agree on every level's Y-part
-    for a, b in zip(report.member_chains[i], report.member_chains[j]):
-        assert a & g.y_mask == b & g.y_mask
-    blue = 0
-    for chain in report.member_chains:
-        for v in chain:
-            blue |= 1 << v
-    assert check_contradiction(report, Coloring(4, blue)) == []
+    # the middles 0b00 and 0b01 share a cover chain, so members 0 and 1 are
+    # labeled alike
+    with pytest.raises(InvariantViolation, match="members 0 and 1"):
+        distinctness_contradiction(cls, out)
 
 
 def test_distinctness_contradiction_preconditions():
@@ -650,53 +635,12 @@ def test_distinctness_contradiction_preconditions():
     cert = BlueChainCert(g, pi, (0, 0b10))
     fam = ChainFamily(g, ((pi, cert),))
     cls = pigeonhole_end_classes(fam, 1, 1)[0]
-    cover = ChainCover(((0,),))
-    # one member does not beat c^(k+1) = 1
-    with pytest.raises(ValueError):
-        distinctness_contradiction(cls, cover, g)
-
-
-def test_check_contradiction_rejects_tampering():
-    g, fam = _synthetic_family_s3()
-    cls = pigeonhole_end_classes(fam, 1, 1)[0]
-    cover = assemble_spindle(cls, SpindleSpec(1, 3, 1), g)
-    report = distinctness_contradiction(cls, cover, g)
-    blue = 0
-    for chain in report.member_chains:
-        for v in chain:
-            blue |= 1 << v
-    c = Coloring(4, blue)
-    assert check_contradiction(report, c) == []
-
-    i, j = report.pair
-    wrong_pair = ContradictionReport(report.split, report.orderings, report.member_chains,
-                                     report.cover_chains, report.y_restrictions,
-                                     report.labels, (i, i))
-    assert check_contradiction(wrong_pair, c) != []
-
-    # break a label so the recomputation disagrees
-    labels = list(report.labels)
-    first = list(labels[0])
-    first[0] ^= 1
-    labels[0] = tuple(first)
-    bad_labels = ContradictionReport(report.split, report.orderings, report.member_chains,
-                                     report.cover_chains, report.y_restrictions,
-                                     tuple(labels), report.pair)
-    assert check_contradiction(bad_labels, c) != []
-
-    # red out a member vertex
-    red_vertex = report.member_chains[0][1]
-    assert check_contradiction(report, Coloring(4, blue ^ (1 << red_vertex))) != []
-
-
-def test_chain_y_restrictions():
-    g = GroundSplit(2, 2)
-    pi = _ascending(g)
-    cert = find_blue_prefix_chain(Coloring(4, (1 << 16) - 1), g, pi)
-    rows = chain_y_restrictions(cert.vertices, g)
-    assert rows == ((0, 0), (1, 0b0100), (2, 0b1100))
-    with pytest.raises(InvariantViolation):
-        chain_y_restrictions((0b0100, 0b1000), g)  # same size, different y-part
+    # the class poset has elements 0 and 1; this cover misses 1
+    with pytest.raises(ValueError, match="partition"):
+        distinctness_contradiction(cls, ChainCover(((0,),)))
+    with pytest.raises(ValueError, match="partition"):
+        distinctness_contradiction(cls, ChainCover(((0, 1), (1,))))
+    assert distinctness_contradiction(cls, ChainCover(((0, 1),))) is None
 
 
 # ------------------------------------------------------ clear classification
@@ -807,12 +751,8 @@ def _sample_certs():
     fam = collect_chain_family(Coloring(3, 255), g12, list(all_orderings(g12)))
     cls = pigeonhole_end_classes(fam, 1, 1)[0]
     spindle = assemble_spindle(cls, SpindleSpec(1, 2, 1), g12)
-    gg, sfam = _synthetic_family_s3()
-    scls = pigeonhole_end_classes(sfam, 1, 1)[0]
-    cover = assemble_spindle(scls, SpindleSpec(1, 3, 1), gg)
-    contradiction = distinctness_contradiction(scls, cover, gg)
     witness = WitnessCert(2, 1, make_antichain(2))
-    return [chain, red, spindle, contradiction, witness]
+    return [chain, red, spindle, witness]
 
 
 def test_certificate_json_round_trip():
@@ -832,6 +772,12 @@ def test_certificate_json_rejects_junk():
         certificate_from_json_dict(
             {"kind": "blue_chain", "ground": {"n": 1, "k": 1},
              "ordering": [1], "vertices": [0, True]})
+    with pytest.raises(ValueError):
+        certificate_from_json_dict(
+            {"kind": "red_qn", "ground": {"n": True, "k": False},
+             "target_dimension": True, "images": [0, 1]})
+    with pytest.raises(ValueError, match="unknown certificate kind"):
+        certificate_from_json_dict({"kind": "contradiction"})
 
 
 def test_verify_certificate_dispatch():

@@ -13,7 +13,6 @@ from poset_ramsey.posets import (
     ChainCover,
     Poset,
     are_isomorphic,
-    check_chain_cover,
     dilworth_cover,
     find_poset_copy,
     glue,
@@ -31,7 +30,7 @@ from poset_ramsey.posets import (
     transitive_reduction,
 )
 
-from conftest import brute_has_copy_in_masks, random_poset
+from conftest import brute_has_copy_in_masks, check_chain_cover, random_poset
 
 
 def _posets_strategy(max_size: int = 6, min_size: int = 1):
@@ -56,7 +55,7 @@ def test_chain_is_total_order():
 def test_antichain_has_no_relations():
     a = make_antichain(5)
     assert a.size == 5
-    assert a.relation_count == 0
+    assert list(a.pairs()) == []
 
 
 def test_chain_and_antichain_size_bounds():
@@ -125,12 +124,6 @@ def test_heights_and_extremes():
     assert b.heights == (0, 1, 1, 2)
     assert b.minimal_elements() == (0,)
     assert b.maximal_elements() == (3,)
-
-
-def test_restrict_keeps_induced_order():
-    b = make_boolean_poset(2)
-    sub = b.restrict((0, 1, 3))
-    assert are_isomorphic(sub, make_chain(3))
 
 
 # ------------------------------------------------------------------- glue
@@ -221,13 +214,19 @@ def _is_induced(target: Poset, host: Poset, images) -> bool:
     )
 
 
+def _containment_poset(masks) -> Poset:
+    """Masks ordered by strict containment; element i is ``masks[i]``."""
+    return Poset(len(masks), tuple(
+        sum(1 << j for j, b in enumerate(masks) if a != b and a & b == a) for a in masks
+    ))
+
+
 def test_find_poset_copy_agrees_with_brute_force():
     rng = random.Random(7)
-    big = make_boolean_poset(4)
     targets = [make_chain(2), make_chain(3), make_antichain(2), make_boolean_poset(1)]
     for trial in range(60):
         hosts = sorted(rng.sample(range(16), rng.randint(2, 8)))
-        sub = big.restrict(hosts)
+        sub = _containment_poset(hosts)
         for target in targets:
             got = find_poset_copy(target, sub)
             want = brute_has_copy_in_masks(target, hosts)
@@ -360,7 +359,7 @@ def test_are_isomorphic_on_equal_relation_counts():
             p = Poset(4, tuple(up))
         except ValueError:
             continue
-        by_count.setdefault(p.relation_count, []).append(p)
+        by_count.setdefault(len(list(p.pairs())), []).append(p)
     assert sum(len(ps) for ps in by_count.values()) == 219  # labeled posets on 4
     mixed = 0
     for ps in by_count.values():
@@ -412,6 +411,15 @@ def test_json_rejects_cycles_and_garbage():
         poset_from_json_dict({"size": 2, "relations": [[0, 5]]})
     with pytest.raises(ValueError):
         poset_from_json_dict({"size": 2, "relations": [[0, True]]})
+    # the cases above lack "lt" altogether; these reach each pair check
+    with pytest.raises(ValueError, match="cycle"):
+        poset_from_json_dict({"size": 2, "lt": [[0, 1], [1, 0]]})
+    with pytest.raises(ValueError, match="outside"):
+        poset_from_json_dict({"size": 2, "lt": [[0, 5]]})
+    with pytest.raises(ValueError):
+        poset_from_json_dict({"size": True, "lt": []})
+    with pytest.raises(ValueError):
+        poset_from_json_dict({"size": 2, "lt": [[0, True]]})
     with pytest.raises(ValueError):
         poset_from_json("not json at all {")
 
