@@ -29,6 +29,12 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def _assert_golden(capsys, golden: str, *argv: str) -> None:
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------- construct
 
 
@@ -68,9 +74,8 @@ def test_construct_rejects_bad_spec(capsys):
 
 
 def test_exact_prints_bare_value(capsys):
-    code, out, _ = _run(capsys, "exact", "--boolean", "1", "--n", "2", "--nmax", "4")
-    assert code == 0
-    assert out == "3\n"
+    _assert_golden(capsys, "exact_boolean1_n2.txt",
+                   "exact", "--boolean", "1", "--n", "2", "--nmax", "4")
 
 
 def test_exact_json_golden(capsys):
@@ -99,9 +104,8 @@ def test_exact_budget_exit_code(capsys):
 
 
 def test_exact_lower_bound_text(capsys):
-    code, out, _ = _run(capsys, "exact", "--antichain", "3", "--n", "1", "--nmax", "3")
-    assert code == 0
-    assert out == "no verdict up to 3: value is at least 4\n"
+    _assert_golden(capsys, "exact_antichain3_n1_nmax3.txt",
+                   "exact", "--antichain", "3", "--n", "1", "--nmax", "3")
 
 
 # ------------------------------------------------------------------ witness
@@ -114,9 +118,8 @@ def test_witness_emits_coloring_text(capsys):
 
 
 def test_witness_none_is_not_an_error(capsys):
-    code, out, _ = _run(capsys, "witness", "--boolean", "1", "--n", "1", "--N", "2")
-    assert code == 0
-    assert "no witness" in out
+    _assert_golden(capsys, "witness_none_boolean1_n1_N2.txt",
+                   "witness", "--boolean", "1", "--n", "1", "--N", "2")
 
 
 def test_witness_json(capsys):
@@ -235,26 +238,23 @@ def test_bound_small_n(capsys):
 
 
 def test_bound_spindle_text(capsys):
-    code, out, _ = _run(capsys, "bound", "--spindle", "1,2,1", "--n", "1024")
-    assert code == 0
-    assert "k* = 395" in out
-    assert "bound = n + k* = 1419" in out
-    assert "tail certified: True" in out
+    _assert_golden(capsys, "bound_spindle_1_2_1_n1024.txt",
+                   "bound", "--spindle", "1,2,1", "--n", "1024")
+    _assert_golden(capsys, "bound_spindle_0_1_0_n5.txt",
+                   "bound", "--spindle", "0,1,0", "--n", "5")
 
 
 def test_bound_multipartite_steps(capsys):
-    code, out, _ = _run(capsys, "bound", "--multipartite", "2,2", "--n", "1024")
-    assert code == 0
-    assert "step 1: 1024 -> 1419" in out
-    assert "step 2: 1419 -> 1930" in out
-    assert "bound = 1930" in out
+    _assert_golden(capsys, "bound_multipartite_2_2_n1024.txt",
+                   "bound", "--multipartite", "2,2", "--n", "1024")
+    # one-column steps have no k*
+    _assert_golden(capsys, "bound_multipartite_1_1_n4.txt",
+                   "bound", "--multipartite", "1,1", "--n", "4")
 
 
 def test_bound_chain_and_antichain(capsys):
-    code, out, _ = _run(capsys, "bound", "--chain", "3", "--n", "7")
-    assert code == 0 and "9" in out
-    code, out, _ = _run(capsys, "bound", "--antichain", "4", "--n", "9")
-    assert code == 0 and "alpha = 4" in out and "13" in out
+    _assert_golden(capsys, "bound_chain_3_n7.txt", "bound", "--chain", "3", "--n", "7")
+    _assert_golden(capsys, "bound_antichain_4_n9.txt", "bound", "--antichain", "4", "--n", "9")
 
 
 def test_bound_warns_when_asymptotics_do_not_apply(capsys):
