@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 from poset_ramsey import _kernels, bounds, extract
 from poset_ramsey.errors import SearchBudgetExceeded
@@ -42,7 +42,7 @@ from poset_ramsey.posets import (
     poset_to_dot,
     poset_to_json,
 )
-from poset_ramsey.search import SearchBudget, find_witness, ramsey_exact, verify_witness
+from poset_ramsey.search import SearchBudget, find_witness, ramsey_exact
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -68,30 +68,6 @@ def _csv_triple(text: str) -> tuple[int, ...]:
     return values
 
 
-def _add_poset_source(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--poset", metavar="FILE", help="poset JSON file")
-    group.add_argument("--chain", type=int, metavar="L", help="chain on L elements")
-    group.add_argument(
-        "--antichain", type=int, metavar="T", help="antichain on T elements"
-    )
-    group.add_argument(
-        "--multipartite",
-        type=_csv_ints,
-        metavar="T1,T2,...",
-        help="complete multipartite poset with the given layer sizes",
-    )
-    group.add_argument(
-        "--spindle",
-        type=_csv_triple,
-        metavar="R,S,T",
-        help="r-chain under an s-antichain under a t-chain",
-    )
-    group.add_argument(
-        "--boolean", type=int, metavar="N", help="subset lattice of an N-set"
-    )
-
-
 _T = TypeVar("_T")
 
 
@@ -107,37 +83,61 @@ def _load(path: str, parse: Callable[[str], _T]) -> _T:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_poset(args: argparse.Namespace) -> Poset:
-    # building is not linear (make_chain(1024) takes about 0.5 s): refuse first
-    if _flag_size(args) ** 2 > DEFAULT_RELATION_BUDGET:
-        raise ValueError(f"target exceeds the relation budget: size^2 > {DEFAULT_RELATION_BUDGET}")
-    if args.poset is not None:
-        return _load(args.poset, poset_from_json)
-    if args.chain is not None:
-        return make_chain(args.chain)
-    if args.antichain is not None:
-        return make_antichain(args.antichain)
-    if args.multipartite is not None:
-        return make_complete_multipartite(args.multipartite)
-    if args.spindle is not None:
-        return make_spindle(args.spindle)
-    return make_boolean_poset(args.boolean)
+def _boolean_size(n: int) -> int:
+    # 2^N elements: any N past the word width is over it, and cheap to shift
+    return 1 << min(n, _kernels.MAX_TARGET_SIZE) if n >= 0 else 0
+
+
+class _Target(NamedTuple):
+    type: Callable[[str], Any] | None
+    metavar: str
+    help: str
+    size: Callable[[Any], int]  # element count; 0 for --poset (its parser checks)
+    build: Callable[[Any], Poset]
+
+
+#: The target flags, keyed by dest, in ``--help`` order.  The builders are
+#: looked up when called, so a test can swap a module-level builder.
+_TARGETS = {
+    "poset": _Target(None, "FILE", "poset JSON file",
+                     lambda path: 0, lambda path: _load(path, poset_from_json)),
+    "chain": _Target(int, "L", "chain on L elements", lambda L: L, lambda L: make_chain(L)),
+    "antichain": _Target(int, "T", "antichain on T elements",
+                         lambda T: T, lambda T: make_antichain(T)),
+    "multipartite": _Target(_csv_ints, "T1,T2,...",
+                            "complete multipartite poset with the given layer sizes",
+                            sum, lambda ts: make_complete_multipartite(ts)),
+    "spindle": _Target(_csv_triple, "R,S,T", "r-chain under an s-antichain under a t-chain",
+                       sum, lambda rst: make_spindle(rst)),
+    "boolean": _Target(int, "N", "subset lattice of an N-set",
+                       _boolean_size, lambda N: make_boolean_poset(N)),
+}
+
+
+def _add_poset_source(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    for dest, target in _TARGETS.items():
+        group.add_argument(f"--{dest}", type=target.type, metavar=target.metavar,
+                           help=target.help)
+
+
+def _target_flag(args: argparse.Namespace) -> tuple[_Target, Any]:
+    """The one target flag given (the group is required) and its value."""
+    dest = next(dest for dest in _TARGETS if getattr(args, dest) is not None)
+    return _TARGETS[dest], getattr(args, dest)
 
 
 def _flag_size(args: argparse.Namespace) -> int:
-    """Element count the builder flags ask for; 0 for ``--poset`` (its parser checks)."""
-    if args.chain is not None:
-        return args.chain
-    if args.antichain is not None:
-        return args.antichain
-    if args.multipartite is not None:
-        return sum(args.multipartite)
-    if args.spindle is not None:
-        return sum(args.spindle)
-    if args.boolean is not None and args.boolean >= 0:
-        # 2^N elements: any N past the word width is over it, and cheap to shift
-        return 1 << min(args.boolean, _kernels.MAX_TARGET_SIZE)
-    return 0
+    target, value = _target_flag(args)
+    return target.size(value)
+
+
+def _load_poset(args: argparse.Namespace) -> Poset:
+    target, value = _target_flag(args)
+    # building is not linear (make_chain(1024) takes about 0.5 s): refuse first
+    if target.size(value) ** 2 > DEFAULT_RELATION_BUDGET:
+        raise ValueError(f"target exceeds the relation budget: size^2 > {DEFAULT_RELATION_BUDGET}")
+    return target.build(value)
 
 
 def _add_coloring_source(parser: argparse.ArgumentParser) -> None:
@@ -219,10 +219,6 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 # bound
 
 
-def _frac_pair(pair: tuple[Fraction, Fraction]) -> list[float]:
-    return [float(pair[0]), float(pair[1])]
-
-
 def _spindle_report_json(report: bounds.SpindleBoundReport) -> dict:
     data: dict = {
         "n": report.n,
@@ -236,22 +232,33 @@ def _spindle_report_json(report: bounds.SpindleBoundReport) -> dict:
         data["lhs"] = bounds.format_sci(report.lhs)
         data["rhs"] = bounds.format_sci(report.rhs)
         data["tail_certified"] = report.tail_certified
-        data["realized"] = _frac_pair(report.realized)
+        data["realized"] = [float(end) for end in report.realized]
     return data
 
 
-def _print_spindle_report(report: bounds.SpindleBoundReport) -> None:
-    print(f"n = {report.n}, spindle r={report.r} s={report.s} t={report.t}")
-    if report.k_star is None:
-        print(f"degenerate one-column shape: chain rule gives {report.bound}")
-        return
-    print(f"k* = {report.k_star}")
-    print(f"bound = n + k* = {report.bound}")
-    lo, hi = report.realized
-    print(f"realized factor k*·log n/n in [{float(lo):.6f}, {float(hi):.6f}]")
-    print(f"claim left side  k! = {bounds.format_sci(report.lhs)}")
-    print(f"claim right side     {bounds.format_sci(report.rhs)}")
-    print(f"monotone tail certified: {report.tail_certified}")
+def _spindle_report_text(data: dict) -> str:
+    head = f"n = {data['n']}, spindle r={data['r']} s={data['s']} t={data['t']}"
+    if data["k_star"] is None:
+        return f"{head}\ndegenerate one-column shape: chain rule gives {data['bound']}"
+    lo, hi = data["realized"]
+    return "\n".join([
+        head,
+        f"k* = {data['k_star']}",
+        f"bound = n + k* = {data['bound']}",
+        f"realized factor k*·log n/n in [{lo:.6f}, {hi:.6f}]",
+        f"claim left side  k! = {data['lhs']}",
+        f"claim right side     {data['rhs']}",
+        f"monotone tail certified: {data['tail_certified']}",
+    ])
+
+
+def _step_line(i: int, step: dict) -> str:
+    k_star = "" if step["k_star"] is None else f" (k* = {step['k_star']})"
+    return f"step {i}: {step['n']} -> {step['bound']}{k_star}"
+
+
+def _warn_asymptotics(reason: str) -> None:
+    print(f"warning: {reason}; the asymptotic regime does not apply", file=sys.stderr)
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -259,72 +266,35 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.spindle is not None:
         r, s, t = args.spindle
         if s >= 2 and s * s > n:
-            print(
-                "warning: middle layer is large next to n (log s/log n > 1/2); "
-                "the asymptotic regime does not apply",
-                file=sys.stderr,
-            )
-        report = bounds.spindle_bound_report(n, r, s, t)
-        if args.json:
-            _emit(json.dumps(_spindle_report_json(report), indent=2), args.out)
-        else:
-            _print_spindle_report(report)
+            _warn_asymptotics("middle layer is large next to n (log s/log n > 1/2)")
+        data = _spindle_report_json(bounds.spindle_bound_report(n, r, s, t))
+        text = _spindle_report_text(data)
     elif args.multipartite is not None:
         layers = args.multipartite
         if (1 << len(layers)) > n:
-            print(
-                "warning: more layers than log n; "
-                "the asymptotic regime does not apply",
-                file=sys.stderr,
-            )
+            _warn_asymptotics("more layers than log n")
         report = bounds.multipartite_bound_report(n, layers)
-        if args.json:
-            data = {
-                "n": report.n,
-                "layer_sizes": list(report.layer_sizes),
-                "t": report.t,
-                "value": report.value,
-                "steps": [_spindle_report_json(s) for s in report.steps],
-            }
-            _emit(json.dumps(data, indent=2), args.out)
-        else:
-            print(f"n = {report.n}, layers {report.layer_sizes}, t = {report.t}")
-            for i, step in enumerate(report.steps, 1):
-                tag = f"step {i}: {step.n} -> {step.bound}"
-                if step.k_star is not None:
-                    tag += f" (k* = {step.k_star})"
-                print(tag)
-            print(f"bound = {report.value}")
+        data = {
+            "n": report.n,
+            "layer_sizes": list(report.layer_sizes),
+            "t": report.t,
+            "value": report.value,
+            "steps": [_spindle_report_json(s) for s in report.steps],
+        }
+        text = "\n".join([
+            f"n = {report.n}, layers {report.layer_sizes}, t = {report.t}",
+            *(_step_line(i, step) for i, step in enumerate(data["steps"], 1)),
+            f"bound = {report.value}",
+        ])
     elif args.chain_length is not None:
         value = bounds.chain_bound(args.chain_length, n)
-        if args.json:
-            _emit(
-                json.dumps(
-                    {"n": n, "chain": args.chain_length, "bound": value}, indent=2
-                ),
-                args.out,
-            )
-        else:
-            print(f"bound = n + L - 1 = {value}")
+        data = {"n": n, "chain": args.chain_length, "bound": value}
+        text = f"bound = n + L - 1 = {value}"
     else:
         alpha = bounds.antichain_alpha(args.antichain_size)
-        value = n + alpha
-        if args.json:
-            _emit(
-                json.dumps(
-                    {
-                        "n": n,
-                        "antichain": args.antichain_size,
-                        "alpha": alpha,
-                        "bound": value,
-                    },
-                    indent=2,
-                ),
-                args.out,
-            )
-        else:
-            print(f"alpha = {alpha}")
-            print(f"bound = n + alpha = {value}")
+        data = {"n": n, "antichain": args.antichain_size, "alpha": alpha, "bound": n + alpha}
+        text = f"alpha = {alpha}\nbound = n + alpha = {n + alpha}"
+    _emit(json.dumps(data, indent=2) if args.json else text, args.out)
     return EXIT_OK
 
 
@@ -345,26 +315,23 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             path = out_dir / f"witness_N{N}.txt"
             path.write_text(coloring_to_text(coloring), encoding="utf-8")
             witness_files[N] = str(path)
-    if args.json:
-        data = {
-            "status": result.status,
-            "value": result.value,
-            "lower_bound": result.lower_bound,
-            "witness_dims": sorted(result.witnesses),
-            "witness_files": {str(k): v for k, v in sorted(witness_files.items())},
-            "nodes_used": result.nodes_used,
-        }
-        _emit(json.dumps(data, indent=2), args.out)
+    data = {
+        "status": result.status,
+        "value": result.value,
+        "lower_bound": result.lower_bound,
+        "witness_dims": sorted(result.witnesses),
+        "witness_files": {str(k): v for k, v in sorted(witness_files.items())},
+        "nodes_used": result.nodes_used,
+    }
+    if result.status == "exact":
+        text = str(result.value)
+    elif result.status == "lower_bound":
+        text = f"no verdict up to {n_max}: value is at least {result.lower_bound}"
     else:
-        if result.status == "exact":
-            print(result.value)
-        elif result.status == "lower_bound":
-            print(f"no verdict up to {n_max}: value is at least {result.lower_bound}")
-        else:
-            print(
-                f"budget exhausted at dimension {result.inconclusive_at}; "
-                f"value is at least {result.lower_bound}"
-            )
+        text = (f"budget exhausted at dimension {result.inconclusive_at}; "
+                f"value is at least {result.lower_bound}")
+    _emit(json.dumps(data, indent=2) if args.json else text, args.out)
+    if not args.json:
         for N, path in sorted(witness_files.items()):
             print(f"witness for dimension {N}: {path}", file=sys.stderr)
     return EXIT_BUDGET if result.status == "inconclusive" else EXIT_OK
@@ -381,25 +348,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         print(f"budget exhausted after {exc.nodes} nodes", file=sys.stderr)
         return EXIT_BUDGET
     if witness is None:
-        if args.json:
-            _emit(json.dumps({"found": False, "dim": args.N}, indent=2), args.out)
-        else:
-            print(f"no witness at dimension {args.N}")
-        return EXIT_OK
-    check = verify_witness(witness, poset, args.n)
-    if not check.ok:
-        print("internal error: witness failed re-verification", file=sys.stderr)
-        return EXIT_VERIFY
-    text = coloring_to_text(witness)
-    if args.json:
-        _emit(
-            json.dumps(
-                {"found": True, "dim": args.N, "coloring": text}, indent=2
-            ),
-            args.out,
-        )
+        data = {"found": False, "dim": args.N}
+        text = f"no witness at dimension {args.N}"
     else:
-        _emit(text, args.out)
+        text = coloring_to_text(witness)
+        data = {"found": True, "dim": args.N, "coloring": text}
+    _emit(json.dumps(data, indent=2) if args.json else text, args.out)
     return EXIT_OK
 
 
@@ -407,79 +361,64 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 # extract / verify-cert
 
 
+def _spindle_or_cover(family: extract.ChainFamily, shape: tuple[int, ...],
+                      split: GroundSplit) -> str:
+    r, s, t = shape
+    spec = SpindleSpec(r, s, t)
+    cls = extract.pigeonhole_end_classes(family, r, t)[0]
+    outcome = extract.assemble_spindle(cls, spec, split)
+    if isinstance(outcome, extract.SpindleCert):
+        return extract.certificate_to_json(outcome)
+    extract.distinctness_contradiction(cls, outcome)
+    _, masks = extract.class_induced_poset(cls)
+    return json.dumps({
+        "kind": "chain_cover",
+        "ground": {"n": split.n, "k": split.k},
+        "chains": [[masks[e] for e in chain] for chain in outcome.chains],
+        "class_size": len(cls.members),
+        "note": (
+            "largest end class is too small for the pigeonhole step; "
+            "no spindle and no contradiction at this scale"
+        ),
+    }, indent=2)
+
+
 def _cmd_extract(args: argparse.Namespace) -> int:
     split = GroundSplit(args.n, args.k)
     coloring = _load_coloring(args, split)
+    ground = {"n": split.n, "k": split.k}
 
     if args.what == "chain":
         order = args.ordering if args.ordering is not None else tuple(split.y_positions())
-        pi = YOrdering(split, order)
-        cert = extract.chain_or_red(coloring, split, pi)
-        _emit(extract.certificate_to_json(cert), args.out)
-        return EXIT_OK
-
-    if args.what == "family":
-        orderings = list(all_orderings(split))
-        result = extract.collect_chain_family(coloring, split, orderings)
-        if isinstance(result, extract.RedQnCert):
-            _emit(extract.certificate_to_json(result), args.out)
-            return EXIT_OK
-        data = {
-            "kind": "chain_family",
-            "ground": {"n": split.n, "k": split.k},
-            "entries": [
-                extract.certificate_to_json_dict(cert) for _, cert in result.entries
-            ],
-        }
-        _emit(json.dumps(data, indent=2), args.out)
-        return EXIT_OK
-
-    if args.what == "spindle":
-        if args.shape is None:
+        cert = extract.chain_or_red(coloring, split, YOrdering(split, order))
+        text = extract.certificate_to_json(cert)
+    elif args.what == "clear":
+        _kernels.check_word_width(args.p1_chain, "--p1-chain")
+        _kernels.check_word_width(args.p2_chain, "--p2-chain")
+        p1 = make_chain(args.p1_chain)
+        p2 = make_chain(args.p2_chain)
+        result = extract.classify_clear(coloring, split, p1, p2)
+        data = {"kind": "clear_classification", "ground": ground}
+        data.update((f.name, list(getattr(result, f.name))) for f in fields(result)
+                    if f.name != "dim")
+        text = json.dumps(data, indent=2)
+    else:
+        if args.what == "spindle" and args.shape is None:
             raise ValueError("--what spindle requires --shape R,S,T")
-        r, s, t = args.shape
-        orderings = list(all_orderings(split))
-        family = extract.collect_chain_family(coloring, split, orderings)
+        family = extract.collect_chain_family(coloring, split, list(all_orderings(split)))
         if isinstance(family, extract.RedQnCert):
-            _emit(extract.certificate_to_json(family), args.out)
-            return EXIT_OK
-        shape = SpindleSpec(r, s, t)
-        cls = extract.pigeonhole_end_classes(family, r, t)[0]
-        outcome = extract.assemble_spindle(cls, shape, split)
-        if isinstance(outcome, extract.SpindleCert):
-            _emit(extract.certificate_to_json(outcome), args.out)
-            return EXIT_OK
-        extract.distinctness_contradiction(cls, outcome)
-        _, masks = extract.class_induced_poset(cls)
-        data = {
-            "kind": "chain_cover",
-            "ground": {"n": split.n, "k": split.k},
-            "chains": [[masks[e] for e in chain] for chain in outcome.chains],
-            "class_size": len(cls.members),
-            "note": (
-                "largest end class is too small for the pigeonhole step; "
-                "no spindle and no contradiction at this scale"
-            ),
-        }
-        _emit(json.dumps(data, indent=2), args.out)
-        return EXIT_OK
-
-    # clear-vertex classification
-    _kernels.check_word_width(args.p1_chain, "--p1-chain")
-    _kernels.check_word_width(args.p2_chain, "--p2-chain")
-    p1 = make_chain(args.p1_chain)
-    p2 = make_chain(args.p2_chain)
-    result = extract.classify_clear(coloring, split, p1, p2)
-    data = {
-        "kind": "clear_classification",
-        "ground": {"n": split.n, "k": split.k},
-        "blue": list(result.blue),
-        "p1_clear": list(result.p1_clear),
-        "p2_clear": list(result.p2_clear),
-        "green": list(result.green),
-        "yellow": list(result.yellow),
-    }
-    _emit(json.dumps(data, indent=2), args.out)
+            text = extract.certificate_to_json(family)
+        elif args.what == "family":
+            text = json.dumps({
+                "kind": "chain_family",
+                "ground": ground,
+                "entries": [
+                    extract.certificate_to_json_dict(cert) for _, cert in family.entries
+                ],
+            }, indent=2)
+        else:
+            text = _spindle_or_cover(family, args.shape, split)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -487,12 +426,9 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
     cert = _load(args.cert, extract.certificate_from_json)
     coloring = _load(args.coloring, coloring_from_text)
     problems = extract.verify_certificate(cert, coloring)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return EXIT_VERIFY
-    print("certificate OK")
-    return EXIT_OK
+    _emit("\n".join(f"FAIL: {problem}" for problem in problems) if problems
+          else "certificate OK", None)
+    return EXIT_VERIFY if problems else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

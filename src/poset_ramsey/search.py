@@ -164,9 +164,12 @@ def _find_witness_counted(
         raise SearchBudgetExceeded("nodes", nodes)
     if status == _kernels.STATUS_TIMEOUT:
         raise SearchBudgetExceeded("time", nodes)
-    if status == _kernels.STATUS_FOUND:
-        return Coloring(N, bits), nodes
-    return None, nodes
+    if status != _kernels.STATUS_FOUND:
+        return None, nodes
+    witness = Coloring(N, bits)
+    if not verify_witness(witness, p, n).ok:
+        raise AssertionError("search returned a coloring that fails verification")
+    return witness, nodes
 
 
 def find_witness(
@@ -182,6 +185,7 @@ def find_witness(
     blue.  With ``symmetry`` the search skips colorings that are not minimal
     within their ground-set-permutation orbit; the verdict and the returned
     witness are unchanged because the least witness is orbit-minimal.
+    The witness is re-verified before it is returned.
     Raises :class:`SearchBudgetExceeded` when the budget runs out first.
     """
     witness, _ = _find_witness_counted(p, n, N, symmetry, budget or SearchBudget())
@@ -243,9 +247,6 @@ def ramsey_exact(
                 witnesses=witnesses,
                 nodes_used=total_nodes,
             )
-        check = verify_witness(witness, p, n)
-        if not check.ok:
-            raise AssertionError("search returned a coloring that fails verification")
         witnesses[N] = witness
     return RamseyResult(
         status="lower_bound",

@@ -13,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from poset_ramsey import cli
+from poset_ramsey import cli, search
 from poset_ramsey.cli import main
 from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import certificate_from_json_dict, verify_certificate
 from poset_ramsey.lattice import Coloring, coloring_from_text, coloring_to_text, write_coloring
 from poset_ramsey.posets import are_isomorphic, make_boolean_poset, make_chain, make_complete_multipartite, poset_from_json
+from poset_ramsey.search import VerifyResult
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -667,11 +668,44 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
     for argv, path in [
         (("construct", "--chain", "3", "--out"), tmp_path / "missing" / "p.json"),
         (("exact", "--chain", "2", "--n", "1", "--witness-dir"), plain_file / "w"),
+        (("bound", "--spindle", "1,2,1", "--n", "1024", "--out"), plain_file / "b.txt"),
+        (("bound", "--chain", "3", "--n", "5", "--out"), plain_file / "c.txt"),
+        (("exact", "--chain", "2", "--n", "2", "--out"), plain_file / "e.txt"),
     ]:
         with pytest.raises(SystemExit) as info:
             _run(capsys, *argv, str(path))
         assert info.value.code == 2
         assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--spindle", "1,2,1"),
+    ("export-dot", "--boolean", "2"),
+    *(("bound", *flags, *mode) for mode in ((), ("--json",)) for flags in (
+        ("--spindle", "1,2,1", "--n", "1024"),
+        ("--spindle", "0,1,0", "--n", "5"),
+        ("--multipartite", "2,2", "--n", "1024"),
+        ("--chain", "3", "--n", "5"),
+        ("--antichain", "4", "--n", "9"),
+    )),
+    *(("exact", *flags, *mode) for mode in ((), ("--json",)) for flags in (
+        ("--chain", "2", "--n", "2"),
+        ("--antichain", "3", "--n", "1", "--nmax", "3"),
+    )),
+    *(("witness", "--n", "1", *flags, *mode) for mode in ((), ("--json",)) for flags in (
+        ("--chain", "2", "--N", "1"),
+        ("--boolean", "1", "--N", "2"),
+    )),
+    *(("extract", "--n", "1", "--k", "2", "--all-blue", "--what", *what) for what in (
+        ("chain",), ("family",), ("spindle", "--shape", "1,2,1"), ("clear",),
+    )),
+], ids=" ".join)
+def test_out_file_holds_exactly_what_stdout_would(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out
+    out_file = tmp_path / "out"
+    assert _run(capsys, *argv, "--out", str(out_file)) == (code, "", err)
+    assert out_file.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("fault", [AssertionError, InvariantViolation])
@@ -682,6 +716,18 @@ def test_internal_faults_are_not_usage_errors(monkeypatch, capsys, fault):
     monkeypatch.setattr(cli, "ramsey_exact", broken)
     with pytest.raises(fault):
         main(["exact", "--chain", "2", "--n", "1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--chain", "2", "--n", "1"),
+    ("witness", "--chain", "2", "--n", "1", "--N", "1"),
+], ids=" ".join)
+def test_witness_failing_reverification_is_an_internal_fault(monkeypatch, argv):
+    # one re-check in the search layer serves both commands; exit 1 would
+    # read as a failed certificate
+    monkeypatch.setattr(search, "verify_witness", lambda *args: VerifyResult(False))
+    with pytest.raises(AssertionError, match="fails verification"):
+        main(list(argv))
 
 
 def test_entry_point_exits_2_without_traceback(tmp_path):
