@@ -98,6 +98,15 @@ def test_exact_writes_witness_files(tmp_path, capsys):
         assert coloring.dim == int(dim)
 
 
+def test_exact_witness_file_golden(tmp_path, capsys):
+    wdir = tmp_path / "w"
+    code, _, _ = _run(capsys, "exact", "--antichain", "2", "--n", "2", "--nmax", "4",
+                      "--witness-dir", str(wdir))
+    assert code == 0
+    golden = (GOLDEN / "witness_N3_antichain2_n2.txt").read_bytes()
+    assert (wdir / "witness_N3.txt").read_bytes() == golden
+
+
 def test_exact_budget_exit_code(capsys):
     code, out, err = _run(capsys, "exact", "--chain", "3", "--n", "2",
                           "--nmax", "5", "--max-nodes", "10")
@@ -314,6 +323,18 @@ def test_extract_spindle_golden(capsys):
     assert out == (GOLDEN / "extract_spindle_allblue_n1_k2.json").read_text()
 
 
+@pytest.mark.parametrize("golden, what", [
+    ("extract_chain_seed5_n2_k3.json",
+     ("chain", "--n", "2", "--k", "3", "--random-seed", "5")),
+    ("extract_family_allblue_n1_k2.json", ("family", "--n", "1", "--k", "2", "--all-blue")),
+    ("extract_cover_allblue_n1_k2_shape_0_3_0.json",
+     ("spindle", "--n", "1", "--k", "2", "--all-blue", "--shape", "0,3,0")),
+    ("extract_clear_seed4_n2_k2.json", ("clear", "--n", "2", "--k", "2", "--random-seed", "4")),
+], ids=["chain", "family", "cover", "clear"])
+def test_extract_goldens(capsys, golden, what):
+    _assert_golden(capsys, golden, "extract", "--what", *what)
+
+
 def test_extract_family_and_clear(capsys):
     code, out, _ = _run(capsys, "extract", "--what", "family", "--n", "1", "--k", "2",
                         "--all-blue")
@@ -418,6 +439,16 @@ def test_verify_cert_accepts_extracted(tmp_path, capsys):
     code, out, _ = _run(capsys, "verify-cert", "--cert", str(cert_path),
                         "--coloring", str(col_path))
     assert code == 0
+
+
+def test_verify_cert_text_golden(tmp_path, capsys):
+    cert_path, col_path = _write_cert_and_coloring(
+        tmp_path, capsys, "spindle", 1, 2, "--shape", "1,2,1")
+    argv = ("verify-cert", "--cert", str(cert_path), "--coloring", str(col_path))
+    assert _run(capsys, *argv)[:2] == (0, (GOLDEN / "verify_cert_ok.txt").read_text())
+    write_coloring(col_path, Coloring(3, 0))
+    golden = (GOLDEN / "verify_cert_fail_spindle_all_red.txt").read_text()
+    assert _run(capsys, *argv)[:2] == (1, golden)
 
 
 def test_verify_cert_rejects_corruption(tmp_path, capsys):
