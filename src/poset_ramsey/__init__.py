@@ -41,7 +41,6 @@ from poset_ramsey.lattice import (
     pair_leq,
     prefix_mask,
     random_coloring,
-    read_coloring,
     write_coloring,
 )
 from poset_ramsey.posets import (
@@ -136,7 +135,6 @@ __all__ = [
     "prefix_mask",
     "ramsey_exact",
     "random_coloring",
-    "read_coloring",
     "spindle_bound_report",
     "spindle_upper_bound",
     "verify_certificate",

@@ -14,7 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from poset_ramsey.posets import MultipartiteSpec
+from poset_ramsey.posets import MultipartiteSpec, SpindleSpec
 
 #: Default width exponent for log intervals: endpoints are 2**-16 apart.
 DEFAULT_LOG_PRECISION = 16
@@ -27,7 +27,7 @@ _MANTISSA_BITS = 96
 SCAN_CAP_FACTOR = 8
 
 #: At small n, 8n can fall below k*; the cap is then the proven bound on k*
-#: (see ``_spindle_scan``), clipped to this many steps.
+#: (see ``spindle_bound_report``), clipped to this many steps.
 SCAN_CAP_SMALL_N = 1024
 
 #: The scan's right side starts at 2^((r+t)(n+1)); inputs that would make it
@@ -134,10 +134,7 @@ def _validate_claim_args(n: int, k: int, r: int, t: int, s: int) -> None:
         raise ValueError("dimension must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if r < 0 or t < 0:
-        raise ValueError("r and t must be nonnegative")
-    if s < 1:
-        raise ValueError("s must be positive")
+    SpindleSpec(r, s, t)
 
 
 def claim_sides(n: int, k: int, r: int, t: int, s: int) -> tuple[int, int]:
@@ -176,30 +173,26 @@ class SpindleBoundParams:
     r: int
     s: int
     t: int
-    precision_bits: int = DEFAULT_LOG_PRECISION
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
-        if self.r < 0 or self.t < 0:
-            raise ValueError("r and t must be nonnegative")
-        if self.s < 1:
-            raise ValueError("s must be positive")
+        SpindleSpec(self.r, self.s, self.t)
 
     def log_n(self) -> tuple[Fraction, Fraction]:
-        return log2_interval(self.n, self.precision_bits)
+        return log2_interval(self.n)
 
     def eps(self) -> tuple[Fraction, Fraction]:
         if self.s == 1:
             return Fraction(0), Fraction(0)
-        s_lo, s_hi = log2_interval(self.s, self.precision_bits)
+        s_lo, s_hi = log2_interval(self.s)
         n_lo, n_hi = self.log_n()
         return s_lo / n_hi, s_hi / n_lo
 
     def delta(self) -> tuple[Fraction, Fraction]:
         n_lo, n_hi = self.log_n()
-        ll_lo = log2_interval(n_lo, self.precision_bits)[0]
-        ll_hi = log2_interval(n_hi, self.precision_bits)[1]
+        ll_lo = log2_interval(n_lo)[0]
+        ll_hi = log2_interval(n_hi)[1]
         scale = 2 * (self.r + 1)
         base = self.r + self.t
         return scale * (ll_lo + base) / n_hi, scale * (ll_hi + base) / n_lo
@@ -242,45 +235,20 @@ class SpindleBoundReport:
 
 
 def spindle_upper_bound(n: int, r: int, s: int, t: int) -> int:
-    """Dimension bound n + k for the r/s/t spindle.
+    """Dimension bound n + k for the r/s/t spindle (see ``spindle_bound_report``)."""
+    return spindle_bound_report(n, r, s, t).bound
+
+
+def spindle_bound_report(n: int, r: int, s: int, t: int) -> SpindleBoundReport:
+    """Dimension bound n + k for the r/s/t spindle, with the scan's evidence.
 
     s = 1 degenerates to a chain on r+1+t vertices and uses the chain rule.
     Otherwise k is the least value making the factorial side win, found by
     an exact upward scan with incrementally maintained sides.
     """
-    return _spindle_scan(n, r, s, t)[0]
-
-
-def spindle_bound_report(n: int, r: int, s: int, t: int) -> SpindleBoundReport:
-    bound, k_star, lhs, rhs = _spindle_scan(n, r, s, t)
-    if k_star is None:
-        return SpindleBoundReport(n=n, r=r, s=s, t=t, bound=bound)
-    tail = k_star + 1 > (1 << (r + t)) * (s - 1)
-    log_lo, log_hi = log2_interval(n)
-    realized = (
-        Fraction(k_star) * log_lo / n,
-        Fraction(k_star) * log_hi / n,
-    )
-    return SpindleBoundReport(
-        n=n,
-        r=r,
-        s=s,
-        t=t,
-        bound=bound,
-        k_star=k_star,
-        lhs=lhs,
-        rhs=rhs,
-        tail_certified=tail,
-        realized=realized,
-    )
-
-
-def _spindle_scan(
-    n: int, r: int, s: int, t: int
-) -> tuple[int, int | None, int | None, int | None]:
     _validate_claim_args(n, 0, r, t, s)
     if s == 1:
-        return n + r + t, None, None, None
+        return SpindleBoundReport(n=n, r=r, s=s, t=t, bound=n + r + t)
     if (r + t) * (n + 1) > SCAN_MAX_POWER_BITS:
         raise ValueError(
             f"bound scan would start from a {(r + t) * (n + 1)}-bit power of two, "
@@ -299,7 +267,19 @@ def _spindle_scan(
             raise ValueError(f"bound scan exceeded {cap} steps; inputs look wrong")
         lhs *= k
         rhs *= step
-    return n + k, k, lhs, rhs
+    log_lo, log_hi = log2_interval(n)
+    return SpindleBoundReport(
+        n=n,
+        r=r,
+        s=s,
+        t=t,
+        bound=n + k,
+        k_star=k,
+        lhs=lhs,
+        rhs=rhs,
+        tail_certified=k + 1 > step,
+        realized=(Fraction(k) * log_lo / n, Fraction(k) * log_hi / n),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from poset_ramsey.lattice import (
     coloring_from_text,
     coloring_to_text,
     random_coloring,
+    write_coloring,
 )
 from poset_ramsey.posets import (
     DEFAULT_RELATION_BUDGET,
@@ -292,6 +293,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         text = f"bound = n + L - 1 = {value}"
     else:
         alpha = bounds.antichain_alpha(args.antichain_size)
+        if n < 0:
+            raise ValueError("dimension must be nonnegative")
         data = {"n": n, "antichain": args.antichain_size, "alpha": alpha, "bound": n + alpha}
         text = f"alpha = {alpha}\nbound = n + alpha = {n + alpha}"
     _emit(json.dumps(data, indent=2) if args.json else text, args.out)
@@ -311,16 +314,13 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if args.witness_dir is not None:
         out_dir = Path(args.witness_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for N, coloring in sorted(result.witnesses.items()):
-            path = out_dir / f"witness_N{N}.txt"
-            path.write_text(coloring_to_text(coloring), encoding="utf-8")
-            witness_files[N] = str(path)
+        witness_files = {N: str(out_dir / f"witness_N{N}.txt") for N in sorted(result.witnesses)}
     data = {
         "status": result.status,
         "value": result.value,
         "lower_bound": result.lower_bound,
         "witness_dims": sorted(result.witnesses),
-        "witness_files": {str(k): v for k, v in sorted(witness_files.items())},
+        "witness_files": {str(k): v for k, v in witness_files.items()},
         "nodes_used": result.nodes_used,
     }
     if result.status == "exact":
@@ -330,9 +330,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     else:
         text = (f"budget exhausted at dimension {result.inconclusive_at}; "
                 f"value is at least {result.lower_bound}")
+    # the result first: a refused --out leaves no witness file behind
     _emit(json.dumps(data, indent=2) if args.json else text, args.out)
-    if not args.json:
-        for N, path in sorted(witness_files.items()):
+    for N, path in witness_files.items():
+        write_coloring(path, result.witnesses[N])
+        if not args.json:
             print(f"witness for dimension {N}: {path}", file=sys.stderr)
     return EXIT_BUDGET if result.status == "inconclusive" else EXIT_OK
 
@@ -399,8 +401,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         p2 = make_chain(args.p2_chain)
         result = extract.classify_clear(coloring, split, p1, p2)
         data = {"kind": "clear_classification", "ground": ground}
-        data.update((f.name, list(getattr(result, f.name))) for f in fields(result)
-                    if f.name != "dim")
+        data.update((f.name, list(getattr(result, f.name))) for f in fields(result))
         text = json.dumps(data, indent=2)
     else:
         if args.what == "spindle" and args.shape is None:
@@ -413,7 +414,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 "kind": "chain_family",
                 "ground": ground,
                 "entries": [
-                    extract.certificate_to_json_dict(cert) for _, cert in family.entries
+                    extract.certificate_to_json_dict(cert) for cert in family.entries
                 ],
             }, indent=2)
         else:

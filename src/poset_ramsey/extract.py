@@ -74,7 +74,7 @@ class ChainFamily:
     """One blue prefix chain per Y-ordering, in the order the orderings came."""
 
     split: GroundSplit
-    entries: tuple[tuple[YOrdering, BlueChainCert], ...]
+    entries: tuple[BlueChainCert, ...]
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class EndClass:
 
     indices: tuple[int, ...]
     end_vertices: tuple[int, ...]
-    members: tuple[tuple[YOrdering, BlueChainCert], ...]
+    members: tuple[BlueChainCert, ...]
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,6 @@ class ClearClassification:
     is blue-and-p1_clear; yellow is every other vertex of the lattice.
     """
 
-    dim: int
     blue: tuple[int, ...]
     p1_clear: tuple[bool, ...]
     p2_clear: tuple[bool, ...]
@@ -238,7 +237,7 @@ def collect_chain_family(
         cert = chain_or_red(coloring, g, pi)
         if isinstance(cert, RedQnCert):
             return cert
-        entries.append((pi, cert))
+        entries.append(cert)
     return ChainFamily(split=g, entries=tuple(entries))
 
 
@@ -261,10 +260,10 @@ def pigeonhole_end_classes(family: ChainFamily, r: int, t: int) -> list[EndClass
     Ties keep first-appearance order, so the result is deterministic.
     """
     indices = end_indices(family.split.k, r, t)
-    groups: dict[tuple[int, ...], list[tuple[YOrdering, BlueChainCert]]] = {}
-    for entry in family.entries:
-        key = tuple(entry[1].vertices[i] for i in indices)
-        groups.setdefault(key, []).append(entry)
+    groups: dict[tuple[int, ...], list[BlueChainCert]] = {}
+    for cert in family.entries:
+        key = tuple(cert.vertices[i] for i in indices)
+        groups.setdefault(key, []).append(cert)
     classes = [
         EndClass(indices=indices, end_vertices=key, members=tuple(members))
         for key, members in groups.items()
@@ -274,7 +273,7 @@ def pigeonhole_end_classes(family: ChainFamily, r: int, t: int) -> list[EndClass
 
 
 def _class_masks(cls: EndClass) -> tuple[int, ...]:
-    return tuple(sorted({v for _, cert in cls.members for v in cert.vertices}))
+    return tuple(sorted({v for cert in cls.members for v in cert.vertices}))
 
 
 def class_induced_poset(cls: EndClass) -> tuple[Poset, tuple[int, ...]]:
@@ -346,7 +345,7 @@ def distinctness_contradiction(cls: EndClass, cover: ChainCover) -> None:
         raise ValueError("cover does not partition the class poset")
     owner = {masks[e]: ci for ci, chain in enumerate(cover.chains) for e in chain}
     first_seen: dict[tuple[int, ...], int] = {}
-    for j, (_, cert) in enumerate(cls.members):
+    for j, cert in enumerate(cls.members):
         label = tuple(owner[v] for v in cert.vertices)
         if label in first_seen:
             raise InvariantViolation(
@@ -393,7 +392,6 @@ def classify_clear(
         v for v in range(coloring.vertex_count) if v not in green_set
     )
     return ClearClassification(
-        dim=coloring.dim,
         blue=blue,
         p1_clear=p1_clear,
         p2_clear=p2_clear,
@@ -403,7 +401,9 @@ def classify_clear(
 
 
 # ---------------------------------------------------------------------------
-# Independent checkers (lattice primitives only, no search state)
+# Independent checkers.  Chains, red cubes and spindles are checked from
+# lattice primitives alone.  A witness claims that no copy exists, which only
+# a search can show, so ``check_witness`` runs ``search.verify_witness``.
 
 
 def check_blue_chain(cert: BlueChainCert, coloring: Coloring) -> list[str]:

@@ -86,33 +86,20 @@ def all_orderings(split: GroundSplit) -> Iterator[YOrdering]:
         yield YOrdering(split, perm)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Coloring:
     """Blue/red coloring of all 2^dim vertices; bit v set = vertex v is blue."""
 
-    __slots__ = ("dim", "bits")
+    dim: int
+    bits: int
 
-    def __init__(self, dim: int, bits: int):
-        if dim < 0:
+    def __post_init__(self) -> None:
+        if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        if dim > MAX_COLORING_DIMENSION:
-            raise ValueError(f"dimension {dim} exceeds the cap {MAX_COLORING_DIMENSION}")
-        if bits < 0 or bits >> (1 << dim):
+        if self.dim > MAX_COLORING_DIMENSION:
+            raise ValueError(f"dimension {self.dim} exceeds the cap {MAX_COLORING_DIMENSION}")
+        if self.bits < 0 or self.bits >> (1 << self.dim):
             raise ValueError("color bits outside the vertex range")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("colorings are immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Coloring)
-            and self.dim == other.dim
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.bits))
 
     def __repr__(self) -> str:
         return f"Coloring(dim={self.dim}, blue={self.blue_count()})"
@@ -285,8 +272,3 @@ def coloring_from_text(text: str) -> Coloring:
 def write_coloring(path: str, coloring: Coloring) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(coloring_to_text(coloring))
-
-
-def read_coloring(path: str) -> Coloring:
-    with open(path, "r", encoding="ascii") as fh:
-        return coloring_from_text(fh.read())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from poset_ramsey import _kernels
 
@@ -71,18 +71,6 @@ class Poset:
 
     def lt(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
-
-    def comparable(self, i: int, j: int) -> bool:
-        return i == j or self.lt(i, j) or self.lt(j, i)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All strict pairs (i, j) with i < j, ascending."""
-        for i in range(self.size):
-            rest = self.up[i]
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                yield (i, j)
-                rest &= rest - 1
 
     def maximal_elements(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if not self.up[i])
@@ -471,9 +459,9 @@ def poset_from_json(text: str) -> Poset:
     return poset_from_json_dict(json.loads(text))
 
 
-def poset_to_dot(p: Poset, *, name: str = "poset") -> str:
+def poset_to_dot(p: Poset) -> str:
     """Graphviz source for the cover (Hasse) diagram, ranked by height."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]
+    lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=circle];"]
     for i in range(p.size):
         lines.append(f"  v{i} [label=\"{i}\"];")
     by_height: dict[int, list[int]] = {}

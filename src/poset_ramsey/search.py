@@ -55,28 +55,10 @@ def _colored_hosts(coloring: Coloring, color: Color) -> list[int]:
     raise ValueError(f"color must be 'blue' or 'red', not {color!r}")
 
 
-def find_colored_copy(
-    target: Poset,
-    coloring: Coloring,
-    color: Color,
-    anchor: tuple[int, int] | None = None,
-) -> Embedding | None:
-    """First induced copy of ``target`` among the vertices of one color.
-
-    ``anchor`` fixes (target element index, vertex mask); the anchor vertex
-    must already have the requested color.
-    """
+def find_colored_copy(target: Poset, coloring: Coloring, color: Color) -> Embedding | None:
+    """First induced copy of ``target`` among the vertices of one color."""
     below, above = _relation_arrays(target)
-    anchor_idx, anchor_mask = -1, 0
-    if anchor is not None:
-        anchor_idx, anchor_mask = anchor
-        if not 0 <= anchor_idx < target.size:
-            raise ValueError(f"anchor element {anchor_idx} outside the target")
-        is_blue = coloring.is_blue(anchor_mask)
-        if (color == "blue") != is_blue:
-            raise ValueError("anchor vertex does not have the requested color")
-    hosts = _colored_hosts(coloring, color)
-    images = _kernels.find_induced_copy(below, above, hosts, anchor_idx, anchor_mask)
+    images = _kernels.find_induced_copy(below, above, _colored_hosts(coloring, color))
     return None if images is None else Embedding(tuple(images))
 
 

@@ -195,7 +195,7 @@ def _repeated_ordering_family(rng: random.Random, k: int, s: int, r: int, t: int
             if i > 0:
                 y_prefix |= 1 << pi.order[i - 1]
             vertices.append(x | y_prefix)
-        entries.append((pi, BlueChainCert(g, pi, tuple(vertices))))
+        entries.append(BlueChainCert(g, pi, tuple(vertices)))
     return g, ChainFamily(g, tuple(entries))
 
 

@@ -283,6 +283,17 @@ def test_bound_scan_cap_is_usage_error(capsys):
     assert "bound scan exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", [("--chain", "3"), ("--antichain", "5")], ids=" ".join)
+def test_bound_refuses_negative_n(capsys, family):
+    # --antichain printed "bound = n + alpha = 3" for n = -1
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "bound", *family, "--n", "-1")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension must be nonnegative" in captured.err
+
+
 def test_bound_huge_n_is_usage_error(capsys):
     # the scan would start from a 2*10^14-bit power of two
     for shape in (["--multipartite", "2,3"], ["--spindle", "1,2,1"]):
@@ -707,6 +718,15 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
             _run(capsys, *argv, str(path))
         assert info.value.code == 2
         assert str(path) in capsys.readouterr().err
+    # a refused --out leaves no witness file behind
+    wdir = tmp_path / "w"
+    out = tmp_path / "missing" / "e.txt"
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "exact", "--antichain", "2", "--n", "2", "--nmax", "4",
+             "--witness-dir", str(wdir), "--out", str(out))
+    assert info.value.code == 2
+    assert str(out) in capsys.readouterr().err
+    assert list(wdir.glob("witness_*")) == []
 
 
 @pytest.mark.parametrize("argv", [

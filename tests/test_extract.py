@@ -302,10 +302,11 @@ def test_chain_or_red_guard_fires_when_a_chain_was_missed(monkeypatch):
 def test_collect_chain_family_all_blue():
     g = GroundSplit(1, 2)
     c = Coloring(3, (1 << 8) - 1)
-    fam = collect_chain_family(c, g, list(all_orderings(g)))
+    orderings = list(all_orderings(g))
+    fam = collect_chain_family(c, g, orderings)
     assert isinstance(fam, ChainFamily)
     assert len(fam.entries) == 2
-    for pi, cert in fam.entries:
+    for pi, cert in zip(orderings, fam.entries):
         assert check_blue_chain(cert, c) == []
         assert cert.ordering is pi
 
@@ -596,10 +597,7 @@ def _synthetic_family_s3():
     y1 = prefix_mask(pi, 1)
     top = g.x_mask | prefix_mask(pi, 2)
     middles = [0b00, 0b01, 0b11, 0b10, 0b00, 0b01, 0b11, 0b10, 0b00]
-    entries = tuple(
-        (pi, BlueChainCert(g, pi, (0, m | y1, top)))
-        for m in middles
-    )
+    entries = tuple(BlueChainCert(g, pi, (0, m | y1, top)) for m in middles)
     return g, ChainFamily(g, entries)
 
 
@@ -608,7 +606,7 @@ def test_distinctness_contradiction_trivial_pair():
     g = GroundSplit(1, 1)
     pi = _ascending(g)
     cert = BlueChainCert(g, pi, (0, 0b10))
-    fam = ChainFamily(g, ((pi, cert), (pi, cert)))
+    fam = ChainFamily(g, (cert, cert))
     cls = pigeonhole_end_classes(fam, 1, 1)[0]
     out = assemble_spindle(cls, SpindleSpec(1, 2, 1), g)
     assert isinstance(out, ChainCover)
@@ -633,7 +631,7 @@ def test_distinctness_contradiction_preconditions():
     g = GroundSplit(1, 1)
     pi = _ascending(g)
     cert = BlueChainCert(g, pi, (0, 0b10))
-    fam = ChainFamily(g, ((pi, cert),))
+    fam = ChainFamily(g, (cert,))
     cls = pigeonhole_end_classes(fam, 1, 1)[0]
     # the class poset has elements 0 and 1; this cover misses 1
     with pytest.raises(ValueError, match="partition"):
@@ -704,12 +702,15 @@ def test_classify_clear_matches_per_vertex_search():
                 out = classify_clear(c, g, p1, p2)
                 blue = tuple(c.blue_vertices())
                 assert out.blue == blue
+                # a fresh host list per vertex, unlike classify_clear's shared one
                 assert out.p1_clear == tuple(
-                    find_colored_copy(p1, c, "blue", anchor=(p1.size - 1, v)) is None
+                    _kernels.find_induced_copy(p1.down, p1.up, c.blue_vertices(), p1.size - 1, v)
+                    is None
                     for v in blue
                 )
                 assert out.p2_clear == tuple(
-                    find_colored_copy(p2, c, "blue", anchor=(0, v)) is None for v in blue
+                    _kernels.find_induced_copy(p2.down, p2.up, c.blue_vertices(), 0, v) is None
+                    for v in blue
                 )
 
 

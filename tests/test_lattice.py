@@ -22,7 +22,6 @@ from poset_ramsey.lattice import (
     pair_leq,
     prefix_mask,
     random_coloring,
-    read_coloring,
     write_coloring,
 )
 
@@ -298,4 +297,4 @@ def test_coloring_file_round_trip(tmp_path):
     c = Coloring(4, 0xBEEF)
     path = tmp_path / "c.txt"
     write_coloring(path, c)
-    assert read_coloring(path) == c
+    assert coloring_from_text(path.read_text(encoding="ascii")) == c

@@ -55,7 +55,7 @@ def test_chain_is_total_order():
 def test_antichain_has_no_relations():
     a = make_antichain(5)
     assert a.size == 5
-    assert list(a.pairs()) == []
+    assert a.up == (0,) * 5
 
 
 def test_chain_and_antichain_size_bounds():
@@ -93,7 +93,7 @@ def test_spindle_shape():
     # the two middles are mutually incomparable
     mids = [v for v in range(4) if v not in p.minimal_elements() and v not in p.maximal_elements()]
     assert len(mids) == 2
-    assert not p.comparable(mids[0], mids[1])
+    assert not p.lt(mids[0], mids[1]) and not p.lt(mids[1], mids[0])
 
 
 def test_spindle_rejects_empty_middle():
@@ -187,7 +187,7 @@ def test_dilworth_duality(p: Poset):
     for a in anti:
         for b in anti:
             if a != b:
-                assert not p.comparable(a, b)
+                assert not p.lt(a, b)
     cover = dilworth_cover(p)
     assert check_chain_cover(p, cover) == []
     assert len(cover.chains) == len(anti)
@@ -359,7 +359,7 @@ def test_are_isomorphic_on_equal_relation_counts():
             p = Poset(4, tuple(up))
         except ValueError:
             continue
-        by_count.setdefault(len(list(p.pairs())), []).append(p)
+        by_count.setdefault(sum(mask.bit_count() for mask in p.up), []).append(p)
     assert sum(len(ps) for ps in by_count.values()) == 219  # labeled posets on 4
     mixed = 0
     for ps in by_count.values():

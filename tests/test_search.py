@@ -48,16 +48,6 @@ def test_find_colored_copy_against_brute_force():
                     assert check_colored_embedding(target, c, color, emb) == []
 
 
-def test_find_colored_copy_anchor():
-    c = Coloring(2, 0b1111)  # all blue
-    emb = find_colored_copy(make_chain(2), c, "blue", anchor=(0, 0b01))
-    assert emb is not None and emb.images[0] == 0b01
-    with pytest.raises(ValueError):
-        find_colored_copy(make_chain(2), c, "red", anchor=(0, 0b01))
-    with pytest.raises(ValueError):
-        find_colored_copy(make_chain(2), c, "blue", anchor=(5, 0b01))
-
-
 def test_check_colored_embedding_reports_each_defect():
     c = Coloring(2, 0b0111)  # vertex 3 red
     chain = make_chain(2)
