@@ -11,6 +11,12 @@ import error instead of a silent downgrade.
 and red copies in a colored lattice, copies between explicit posets, poset
 isomorphism and the spindle certificate check all go through it.
 
+``witness_search`` treats its two colors alike: it takes the blue target P
+and the red target Q as plain relation masks, finds each one's maximal
+elements itself, and checks each newly colored vertex for copies that map
+a maximal element onto it.  That rules out every copy, so a full coloring
+needs no further check; ``search`` still re-verifies every witness.
+
 The two twins agree output for output, node counts included, but not in
 method.  The pure twin takes the candidates of a target element as one
 bitset: the AND, over the elements assigned before it, of the above, below
@@ -19,10 +25,10 @@ compiled twin's ascending host order.  Its ``witness_search`` keeps one
 pointer per permutation table for the lex-leader test and undoes pointer
 moves from a trail on backtrack, instead of rescanning every table from
 vertex 0 at each node as the compiled twin does; both prune the same nodes.
-The pure ``witness_search`` also memoizes each check for a copy topped at
-the vertex just colored, when the anchored element lies above every other
-target element, keyed by the color class inside that vertex's down-set;
-the compiled twin searches afresh every time, with the same answers.
+The pure ``witness_search`` also memoizes the check for a copy topped at
+the vertex just colored, when the target has a single maximal element,
+keyed by the color class inside that vertex's down-set; the compiled twin
+searches afresh every time, with the same answers.
 """
 
 from __future__ import annotations

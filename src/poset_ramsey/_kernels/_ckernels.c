@@ -8,10 +8,14 @@
  * the results.  Relation masks and host vertices are 64-bit words, so a
  * target has at most 64 elements.
  *
+ * As in the pure twin, red and blue share one path, indexed by color c:
+ * t[c] is the target that color c avoids (red Q, blue P).
+ *
  * The method differs from the pure twin's: find_copy scans the hosts in
- * ascending order for each target element, and the lex-leader test rescans
- * every permutation table from vertex 0 at each node.  Both prune exactly
- * the nodes the pure twin prunes.
+ * ascending order for each target element, the anchored checks have no
+ * memo, and the lex-leader test rescans every permutation table from
+ * vertex 0 at each node.  Both prune exactly the nodes the pure twin
+ * prunes.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -19,7 +23,6 @@
 
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 #include <time.h>
 
 enum { STATUS_NONE, STATUS_FOUND, STATUS_BUDGET, STATUS_TIMEOUT };
@@ -138,10 +141,7 @@ static int lex_leader(const int32_t *perms, int nperm, int64_t volume,
 
 typedef struct {
     int num_bits;          /* host dimension N: vertices are 0..2^N-1 */
-    target p, q;           /* blue and red targets */
-    const int32_t *p_tops; /* maximal elements of p */
-    int n_tops;
-    int q_top;             /* top element of q */
+    target t[2];           /* the targets red and blue avoid: Q and P */
     const int32_t *perms;  /* nperm vertex tables, 2^N entries each */
     int nperm;
     int64_t max_nodes;
@@ -155,32 +155,30 @@ static double monotonic_seconds(void)
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
-static void uncolor(int8_t *colors, int64_t v, int64_t *nblue, int64_t *nred)
-{
-    if (colors[v] == 1)
-        --*nblue;
-    else
-        --*nred;
-    colors[v] = -1;
-}
-
-/* The depth-first loop of search(), over arrays it has allocated. */
+/* The depth-first loop of search(), over arrays it has allocated: hosts[c]
+ * lists the color-c vertices in ascending order. */
 static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
-                      uint64_t *blue, uint64_t *red, uint8_t *witness,
-                      int64_t *nodes_out)
+                      uint64_t *hosts[2], uint8_t *witness, int64_t *nodes_out)
 {
     scratch s;
+    int tops[2][64], ntops[2] = {0, 0};
     int64_t volume = (int64_t)1 << pr->num_bits;
-    int64_t nblue = 0, nred = 0, nodes = 0, v = 0;
+    int64_t count[2] = {0, 0}, nodes = 0, v = 0;
     double deadline = pr->time_limit > 0 ? monotonic_seconds() + pr->time_limit : 0.0;
     int status = STATUS_NONE;
-    memset(colors, -1, (size_t)volume);
+    /* the maximal elements of each target: every copy has its largest
+     * image at one of them, so checking them at each vertex leaves no copy
+     * for a leaf to find */
+    for (int c = 0; c < 2; c++)
+        for (int e = 0; e < pr->t[c].m; e++)
+            if (pr->t[c].above[e] == 0)
+                tops[c][ntops[c]++] = e;
     state[0] = 0;
     while (v >= 0) {
         int c = state[v], ok = 1;
         if (c == 2) {
             if (--v >= 0)
-                uncolor(colors, v, &nblue, &nred);
+                count[colors[v]]--;
             continue;
         }
         state[v] = (int8_t)(c + 1);
@@ -193,28 +191,21 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
             break;
         }
         colors[v] = (int8_t)c;
-        if (c == 1) {
-            blue[nblue++] = (uint64_t)v;
-            for (int i = 0; i < pr->n_tops && ok; i++)
-                ok = !find_copy(&pr->p, blue, nblue, pr->p_tops[i], (uint64_t)v, &s);
-        } else {
-            red[nred++] = (uint64_t)v;
-            ok = !find_copy(&pr->q, red, nred, pr->q_top, (uint64_t)v, &s);
-        }
+        hosts[c][count[c]++] = (uint64_t)v;
+        for (int i = 0; i < ntops[c] && ok; i++)
+            ok = !find_copy(&pr->t[c], hosts[c], count[c], tops[c][i], (uint64_t)v, &s);
         if (ok && pr->nperm)
             ok = lex_leader(pr->perms, pr->nperm, volume, colors, v);
-        if (ok && v < volume - 1) {
+        if (!ok) {
+            count[c]--;
+        } else if (v < volume - 1) {
             state[++v] = 0;
-            continue;
-        }
-        if (ok && !find_copy(&pr->p, blue, nblue, -1, 0, &s)
-                && !find_copy(&pr->q, red, nred, -1, 0, &s)) {
+        } else {
             status = STATUS_FOUND;
-            for (int64_t i = 0; i < nblue; i++)
-                witness[blue[i] >> 3] |= (uint8_t)(1u << (blue[i] & 7));
+            for (int64_t i = 0; i < count[1]; i++)
+                witness[hosts[1][i] >> 3] |= (uint8_t)(1u << (hosts[1][i] & 7));
             break;
         }
-        uncolor(colors, v, &nblue, &nred);
     }
     *nodes_out = nodes;
     return status;
@@ -228,14 +219,14 @@ static int search(const search_problem *pr, uint8_t *witness, int64_t *nodes)
 {
     size_t volume = (size_t)1 << pr->num_bits;
     int8_t *colors = malloc(volume), *state = malloc(volume);
-    uint64_t *blue = malloc(volume * sizeof *blue), *red = malloc(volume * sizeof *red);
+    uint64_t *hosts[2] = {malloc(volume * sizeof **hosts), malloc(volume * sizeof **hosts)};
     int status = -1;
-    if (colors && state && blue && red)
-        status = run_search(pr, colors, state, blue, red, witness, nodes);
+    if (colors && state && hosts[0] && hosts[1])
+        status = run_search(pr, colors, state, hosts, witness, nodes);
     free(colors);
     free(state);
-    free(blue);
-    free(red);
+    free(hosts[0]);
+    free(hosts[1]);
     return status;
 }
 
@@ -371,28 +362,27 @@ done:
 }
 
 PyDoc_STRVAR(witness_search_doc,
-"witness_search($module, /, num_bits, p_below, p_above, p_max_elems, q_below,\n"
-"               q_above, q_top, perm_tables, max_nodes, time_limit)\n"
+"witness_search($module, /, num_bits, p_below, p_above, q_below, q_above,\n"
+"               max_nodes, time_limit, perm_tables)\n"
 "--\n\n"
 "Exhaustive coloring search: (status, witness bits, nodes visited).");
 
 static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"num_bits", "p_below", "p_above", "p_max_elems", "q_below",
-                             "q_above", "q_top", "perm_tables", "max_nodes",
-                             "time_limit", NULL};
-    PyObject *p_below, *p_above, *p_tops_seq, *q_below, *q_above, *tables;
+    static char *kwlist[] = {"num_bits", "p_below", "p_above", "q_below", "q_above",
+                             "max_nodes", "time_limit", "perm_tables", NULL};
+    PyObject *p_below, *p_above, *q_below, *q_above, *tables;
     PyObject *result = NULL;
-    uint64_t *p_arrays[2] = {NULL, NULL}, *q_arrays[2] = {NULL, NULL};
-    int32_t *p_tops = NULL, *perms = NULL;
+    uint64_t *arrays[2][2] = {{NULL, NULL}, {NULL, NULL}};
+    int32_t *perms = NULL;
     uint8_t *witness = NULL;
     search_problem pr;
     long long max_nodes;
     int64_t nodes = 0;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOOiOLd", kwlist, &pr.num_bits,
-                                     &p_below, &p_above, &p_tops_seq, &q_below, &q_above,
-                                     &pr.q_top, &tables, &max_nodes, &pr.time_limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOLdO", kwlist, &pr.num_bits,
+                                     &p_below, &p_above, &q_below, &q_above, &max_nodes,
+                                     &pr.time_limit, &tables))
         return NULL;
     pr.max_nodes = max_nodes;
     /* vertices and table entries are int32 */
@@ -401,26 +391,18 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
         return NULL;
     }
     int64_t volume = (int64_t)1 << pr.num_bits;
-    if (as_target(p_below, p_above, &pr.p, p_arrays) < 0
-            || as_target(q_below, q_above, &pr.q, q_arrays) < 0)
+    if (as_target(q_below, q_above, &pr.t[0], arrays[0]) < 0
+            || as_target(p_below, p_above, &pr.t[1], arrays[1]) < 0)
         goto done;
-    if (pr.q.m > 0 && (pr.q_top < 0 || pr.q_top >= pr.q.m)) {
-        PyErr_SetString(PyExc_ValueError, "q_top outside the red target");
-        goto done;
-    }
-    Py_ssize_t n_tops = PySequence_Size(p_tops_seq);
     Py_ssize_t nperm = PySequence_Size(tables);
-    if (n_tops < 0 || nperm < 0)
+    if (nperm < 0)
         goto done;
-    p_tops = malloc((n_tops > 0 ? (size_t)n_tops : 1) * sizeof *p_tops);
     perms = malloc((nperm > 0 ? (size_t)(nperm * volume) : 1) * sizeof *perms);
     witness = calloc((size_t)(volume + 7) / 8, 1);
-    if (p_tops == NULL || perms == NULL || witness == NULL) {
+    if (perms == NULL || witness == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (copy_indices(p_tops_seq, "p_max_elems", pr.p.m, p_tops, n_tops) < 0)
-        goto done;
     for (Py_ssize_t i = 0; i < nperm; i++) {
         PyObject *table = PySequence_GetItem(tables, i);
         int rc = table == NULL ? -1
@@ -429,8 +411,6 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
         if (rc < 0)
             goto done;
     }
-    pr.p_tops = p_tops;
-    pr.n_tops = (int)n_tops;
     pr.perms = perms;
     pr.nperm = (int)nperm;
     int status = search(&pr, witness, &nodes);
@@ -444,11 +424,10 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
     if (bits != NULL)
         result = Py_BuildValue("(iNL)", status, bits, (long long)nodes);
 done:
-    free(p_arrays[0]);
-    free(p_arrays[1]);
-    free(q_arrays[0]);
-    free(q_arrays[1]);
-    free(p_tops);
+    free(arrays[0][0]);
+    free(arrays[0][1]);
+    free(arrays[1][0]);
+    free(arrays[1][1]);
     free(perms);
     free(witness);
     return result;

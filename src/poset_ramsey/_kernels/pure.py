@@ -21,15 +21,20 @@ window on first use, in one pass over that window's hosts.
 integer and a vertex's row is built once per search, when the search first
 reaches that vertex.
 
-When ``witness_search`` colors vertex v, it checks for copies topped at v.
-If the anchored element lies above every other target element (always the
-top of Q_n, and the maximal element of P when it is P's unique maximum),
-every other image lies below v, so the answer depends only on the color
-class inside v's down-set.  That set alone is the key of a per-search memo
-for each such check: v is above every vertex in it, so vertices whose
-down-sets hold the same colored vertices share one entry.  A memo holds at
-most ``_MEMO_ENTRIES`` answers and is cleared when full.  A P with several
-maximal elements is checked afresh each time.
+The two colors go through one path: red avoids Q_n and blue avoids P, and
+each is a plain target.  When ``witness_search`` colors vertex v, it checks
+for copies of that color's target whose image of a maximal element is v,
+once per maximal element (an element with an empty above-mask).  Every copy
+has its numerically largest image at a maximal element, and every other
+image is colored by then, so these anchored checks rule out every copy
+and a leaf needs no further check.  When the target has a single maximal
+element, that element lies above every other, so every other image lies
+below v and the answer depends only on the color class inside v's
+down-set.  That set alone is the key of a per-search memo for the check: v
+is above every vertex in it, so vertices whose down-sets hold the same
+colored vertices share one entry.  A memo holds at most ``_MEMO_ENTRIES``
+answers and is cleared when full.  A target with several maximal elements
+is checked afresh each time.
 
 Symmetry breaking in ``witness_search`` is an incremental lex-leader test:
 each permutation table keeps a pointer, and the positions before it compare
@@ -86,13 +91,8 @@ def _plan(below: Sequence[int], above: Sequence[int], order: Sequence[int]) -> l
     return plan
 
 
-def _is_top(below: Sequence[int], e: int) -> bool:
-    """Does element e lie above every other element?"""
-    return below[e] | 1 << e == (1 << len(below)) - 1
-
-
 def _anchored_order(m: int, anchor_idx: int) -> list[int]:
-    return [anchor_idx] + [i for i in range(m) if i != anchor_idx] if m else []
+    return [anchor_idx] + [i for i in range(m) if i != anchor_idx]
 
 
 def _first_embedding(plan, windows, rows, images: list[int], start: int) -> bool:
@@ -231,35 +231,40 @@ def witness_search(
     num_bits: int,
     p_below: Sequence[int],
     p_above: Sequence[int],
-    p_max_elems: Sequence[int],
     q_below: Sequence[int],
     q_above: Sequence[int],
-    q_top: int,
-    perm_tables: Sequence[Sequence[int]],
     max_nodes: int,
     time_limit: float,
+    perm_tables: Sequence[Sequence[int]],
 ) -> tuple[int, int, int]:
     """Exhaustive coloring search: (status, witness bits, nodes visited).
 
     Vertices are colored in ascending mask order, red before blue, so the
-    first witness reached is the least color string.  On coloring a vertex,
-    only copies whose top image is that vertex are checked (every newly
-    completed copy has its largest mask there); a full verification still
-    runs at each leaf.  Non-empty ``perm_tables`` (vertex relabelings from
-    ground-set permutations, each a permutation of the vertices) restrict
-    the search to colorings that are least within their orbit's explored
-    prefix.  The search is a loop over
+    first witness reached is the least color string.  Blue must avoid the
+    target P and red the target Q, both nonempty.  On coloring a vertex,
+    only copies whose image of a maximal element is that vertex are checked
+    (every newly completed copy has its largest mask there).  Non-empty
+    ``perm_tables`` (vertex relabelings from ground-set permutations, each a
+    permutation of the vertices) restrict the search to colorings that are
+    least within their orbit's explored prefix.  The search is a loop over
     an explicit stack of per-vertex states, so its depth is not bounded by
     the interpreter's recursion limit.
     """
     volume = 1 << num_bits
     deadline = time.monotonic() + time_limit if time_limit > 0 else None
-    pm = len(p_below)
-    p_full = _plan(p_below, p_above, range(pm))
-    p_tops = [_plan(p_below, p_above, _anchored_order(pm, e)) for e in p_max_elems]
-    q_full = _plan(q_below, q_above, range(len(q_below)))
-    q_top_plan = _plan(q_below, q_above, _anchored_order(len(q_below), q_top))
-    images = [0] * max(pm, len(q_below), 1)
+    images = [0] * max(len(p_below), len(q_below))
+
+    # checks[c]: the plans of the color-c copies topped at v, one per maximal
+    # element of the color-c target; memos[c]: their answers keyed by the
+    # color class below v when there is one plan (see the module docstring),
+    # else None
+    checks = []
+    memos = []
+    for below, above in ((q_below, q_above), (p_below, p_above)):
+        m = len(below)
+        plans = [_plan(below, above, _anchored_order(m, e)) for e in range(m) if not above[e]]
+        checks.append(plans)
+        memos.append({} if len(plans) == 1 else None)
 
     # rows[g] = [apart, above, below, empty] over vertex masks, in a single
     # window; "apart" is a complement, so vertices not reached yet read as
@@ -270,8 +275,6 @@ def witness_search(
     def has_copy(plan, universe: int, anchor: int) -> bool:
         if universe.bit_count() < len(plan):
             return False
-        if anchor < 0:
-            return _first_embedding(plan, [(0, universe)], window_rows, images, 0)
         images[0] = anchor
         return _first_embedding(plan, [(0, universe)], window_rows, images, 1)
 
@@ -326,15 +329,6 @@ def witness_search(
             # lies below v (comparing it needed v), else v itself
             p = table.index(v)
             ptr[t] = p if p < v else v
-
-    # checks[c]: the plans of the color-c copies topped at v; memos[c]: their
-    # answers keyed by the color class below v when checks[c] is one plan
-    # anchored at a top element (see the module docstring), else None
-    checks = [[q_top_plan], p_tops]
-    memos = [
-        {} if _is_top(q_below, q_top) else None,
-        {} if len(p_tops) == 1 and _is_top(p_below, p_max_elems[0]) else None,
-    ]
 
     colors = [-1] * volume
     masks = [0, 0]  # red, blue vertex bitsets
@@ -393,7 +387,7 @@ def witness_search(
         elif v < volume - 1:
             v += 1
             state[v] = 0
-        elif not has_copy(p_full, masks[1], -1) and not has_copy(q_full, masks[0], -1):
+        else:
             status = STATUS_FOUND
             break
     return status, masks[1] if status == STATUS_FOUND else 0, nodes

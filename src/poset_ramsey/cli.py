@@ -11,7 +11,9 @@ owns them; the CLI checks only a builder flag's element count, before building.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -191,6 +193,19 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the ``OSError`` that writing a file at ``path`` would, unwritten."""
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -310,11 +325,17 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     poset = _load_poset(args)
     n_max = args.nmax if args.nmax is not None else args.n + poset.size
     result = ramsey_exact(poset, args.n, n_max, symmetry=args.symmetry, budget=_budget(args))
+    # every output path is checked before any file is written, so a refused
+    # run leaves no file behind
+    if args.out is not None:
+        _check_writable(Path(args.out))
     witness_files = {}
     if args.witness_dir is not None:
         out_dir = Path(args.witness_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         witness_files = {N: str(out_dir / f"witness_N{N}.txt") for N in sorted(result.witnesses)}
+        for path in witness_files.values():
+            _check_writable(Path(path))
     data = {
         "status": result.status,
         "value": result.value,
@@ -330,7 +351,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     else:
         text = (f"budget exhausted at dimension {result.inconclusive_at}; "
                 f"value is at least {result.lower_bound}")
-    # the result first: a refused --out leaves no witness file behind
     _emit(json.dumps(data, indent=2) if args.json else text, args.out)
     for N, path in witness_files.items():
         write_coloring(path, result.witnesses[N])

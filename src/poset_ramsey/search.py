@@ -38,7 +38,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError("node budget must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time limit must be positive when given")
 
 
@@ -131,16 +131,7 @@ def _find_witness_counted(
     q = make_boolean_poset(n)
     tables = ground_permutation_tables(N) if symmetry else ()
     status, bits, nodes = _kernels.witness_search(
-        N,
-        p_below,
-        p_above,
-        p.maximal_elements(),
-        q.down,
-        q.up,
-        (1 << n) - 1,
-        tables,
-        budget.max_nodes,
-        budget.time_limit or 0.0,
+        N, p_below, p_above, q.down, q.up, budget.max_nodes, budget.time_limit or 0.0, tables
     )
     if status == _kernels.STATUS_BUDGET:
         raise SearchBudgetExceeded("nodes", nodes)

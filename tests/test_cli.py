@@ -727,6 +727,16 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
     assert info.value.code == 2
     assert str(out) in capsys.readouterr().err
     assert list(wdir.glob("witness_*")) == []
+    # a refused witness path leaves neither --out nor the earlier witness files
+    (wdir / "witness_N3.txt").mkdir(parents=True)
+    out = tmp_path / "e.txt"
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "exact", "--antichain", "2", "--n", "2", "--nmax", "4",
+             "--witness-dir", str(wdir), "--out", str(out))
+    assert info.value.code == 2
+    assert str(wdir / "witness_N3.txt") in capsys.readouterr().err
+    assert not out.exists()
+    assert [p.name for p in wdir.iterdir()] == ["witness_N3.txt"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -796,6 +806,7 @@ def test_entry_point_exits_2_without_traceback(tmp_path):
         ["bound", "--spindle", "1,2,1", "--n", "99999999999999"],
         ["exact", "--chain", "65", "--n", "1"],
         ["witness", "--chain", "2", "--n", "1", "--N", "25"],
+        ["witness", "--chain", "2", "--n", "1", "--N", "2", "--time-limit", "nan"],
         ["extract", "--what", "chain", "--n", "20", "--k", "5", "--all-red"],
         ["verify-cert", "--cert", str(big), "--coloring", str(col_path)],
     ]

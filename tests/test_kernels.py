@@ -9,6 +9,7 @@ compiled twin from ``_ckernels.c`` with ``setup.py build_ext``.
 
 from __future__ import annotations
 
+import inspect
 import random
 import sys
 
@@ -16,7 +17,9 @@ import pytest
 
 from poset_ramsey._kernels import STATUS_BUDGET, STATUS_FOUND, STATUS_NONE, STATUS_TIMEOUT
 from poset_ramsey._kernels import pure
+from poset_ramsey.lattice import Coloring
 from poset_ramsey.posets import (
+    Poset,
     make_antichain,
     make_boolean_poset,
     make_chain,
@@ -25,7 +28,7 @@ from poset_ramsey.posets import (
 )
 from poset_ramsey.search import ground_permutation_tables
 
-from conftest import brute_has_copy_in_masks, random_poset
+from conftest import brute_has_copy_in_masks, brute_is_witness, random_poset
 
 
 def _relations(p):
@@ -36,18 +39,7 @@ def _search_args(p, n, N, symmetry=False, max_nodes=1 << 30, time_limit=0.0):
     p_below, p_above = _relations(p)
     q_below, q_above = _relations(make_boolean_poset(n))
     tables = ground_permutation_tables(N) if symmetry else []
-    return (
-        N,
-        p_below,
-        p_above,
-        p.maximal_elements(),
-        q_below,
-        q_above,
-        (1 << n) - 1,
-        tables,
-        max_nodes,
-        time_limit,
-    )
+    return N, p_below, p_above, q_below, q_above, max_nodes, time_limit, tables
 
 
 # ------------------------------------------------------- find_induced_copy
@@ -145,12 +137,29 @@ def _grid():
     yield make_antichain(3), 2, 5, True
     yield make_boolean_poset(2), 2, 5, True
     yield make_chain(4), 2, 5, True
+    # several maximal elements: a checked copy may top out at any of them;
+    # K_{3,1} beside a point, and a connected poset with two maxima
+    yield Poset(5, (16, 16, 16, 0, 0)), 2, 4, False
+    yield Poset(5, (0, 5, 0, 1, 1)), 1, 4, False
+
+
+def _assert_twins_agree(compiled_kernels, p, n, N, symmetry, **budget):
+    """Both twins give one result, and a found coloring is a witness by
+    brute force (up to N = 4): no leaf re-checks what the anchored checks
+    ruled out."""
+    args = _search_args(p, n, N, symmetry, **budget)
+    results = [pure.witness_search(*args), compiled_kernels.witness_search(*args)]
+    assert results[0] == results[1]
+    if N <= 4:
+        q = make_boolean_poset(n)
+        for status, bits, _ in results:
+            if status == STATUS_FOUND:
+                assert brute_is_witness(Coloring(N, bits), p, q)
 
 
 def test_witness_search_backends_agree_exactly(compiled_kernels):
     for p, n, N, symmetry in _grid():
-        args = _search_args(p, n, N, symmetry)
-        assert pure.witness_search(*args) == compiled_kernels.witness_search(*args)
+        _assert_twins_agree(compiled_kernels, p, n, N, symmetry)
 
 
 def test_witness_search_backends_agree_under_budget(compiled_kernels):
@@ -189,8 +198,7 @@ def _memo_grid():
 def _assert_memo_parity(compiled_kernels):
     for p, n, N, symmetry in _memo_grid():
         for max_nodes in (1, 7, 500):
-            args = _search_args(p, n, N, symmetry, max_nodes=max_nodes)
-            assert pure.witness_search(*args) == compiled_kernels.witness_search(*args)
+            _assert_twins_agree(compiled_kernels, p, n, N, symmetry, max_nodes=max_nodes)
 
 
 def test_witness_search_memo_agrees_with_compiled(compiled_kernels):
@@ -201,21 +209,6 @@ def test_witness_search_memo_agrees_with_compiled(compiled_kernels):
 def test_witness_search_memo_clearing_agrees_with_compiled(compiled_kernels, monkeypatch):
     monkeypatch.setattr(pure, "_MEMO_ENTRIES", 4)
     _assert_memo_parity(compiled_kernels)
-
-
-def test_witness_search_memo_needs_a_top_anchor(compiled_kernels):
-    """A single anchor that is not above every other element is never
-    memoized: copies may then use vertices outside its down-set."""
-    cases = [
-        (make_antichain(2), 2, 3),
-        (make_complete_multipartite((2, 1)), 2, 4),
-        (make_boolean_poset(2), 2, 4),
-    ]
-    for p, n, N in cases:
-        for p_anchor, q_anchor in ((p.size - 1, 1), (p.maximal_elements()[0], (1 << n) - 1)):
-            args = list(_search_args(p, n, N, max_nodes=2000))
-            args[3], args[6] = (p_anchor,), q_anchor
-            assert pure.witness_search(*args) == compiled_kernels.witness_search(*args)
 
 
 def test_witness_search_deep_budgeted_agrees_with_compiled(compiled_kernels):
@@ -330,7 +323,6 @@ def test_symmetry_tables_do_not_change_results(kernel_backends):
             assert pruned[2] <= plain[2]
 
 
-
 def test_compiled_rejects_malformed_arguments(compiled_kernels):
     """The C twin checks sizes and indices before it touches its arrays."""
     find = compiled_kernels.find_induced_copy
@@ -346,8 +338,6 @@ def test_compiled_rejects_malformed_arguments(compiled_kernels):
     good = _search_args(make_chain(2), 1, 2, symmetry=True)
     for index, value in [
         (0, 31),                                      # num_bits past int32 vertices
-        (3, [2]),                                     # maximal element outside p
-        (6, 2),                                       # q_top outside q
         (7, [bytes(range(3))]),                       # table shorter than 2^N
         (7, [bytes([0, 1, 2, 4])]),                   # table entry past 2^N
     ]:
@@ -355,3 +345,19 @@ def test_compiled_rejects_malformed_arguments(compiled_kernels):
         args[index] = value
         with pytest.raises(ValueError):
             compiled_kernels.witness_search(*args)
+
+
+def test_twins_share_parameter_names(compiled_kernels):
+    """Callers pass arguments by position, so a reordering in one twin would
+    pass every parity test.  The C twin's names come from its text signature,
+    and a call by keyword checks them against its keyword list."""
+    calls = {
+        "find_induced_copy": (*_relations(make_chain(2)), [0, 1, 3], 1, 3),
+        "witness_search": _search_args(make_chain(2), 1, 2, symmetry=True),
+    }
+    for name, args in calls.items():
+        names = list(inspect.signature(getattr(pure, name)).parameters)
+        assert list(inspect.signature(getattr(compiled_kernels, name)).parameters) == names
+        kwargs = dict(zip(names, args, strict=True))
+        for twin in (pure, compiled_kernels):
+            assert getattr(twin, name)(**kwargs) == getattr(twin, name)(*args)

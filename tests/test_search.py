@@ -133,8 +133,9 @@ def test_budget_exhaustion_raises_with_counts():
 def test_search_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)
-    with pytest.raises(ValueError):
-        SearchBudget(time_limit=0)
+    for time_limit in (0, float("nan")):
+        with pytest.raises(ValueError):
+            SearchBudget(time_limit=time_limit)
 
 
 # ------------------------------------------------------------ exact values
