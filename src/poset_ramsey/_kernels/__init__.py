@@ -15,16 +15,19 @@ isomorphism and the spindle certificate check all go through it.
 and the red target Q as plain relation masks, finds each one's maximal
 elements itself, and checks each newly colored vertex for copies that map
 a maximal element onto it.  That rules out every copy, so a full coloring
-needs no further check; ``search`` still re-verifies every witness.
+needs no further check; ``search`` still re-verifies every witness.  Both
+twins make one such check per class of twin maximal elements, those with
+equal below masks: an automorphism swaps two twins, so their checks agree.
 
 The two twins agree output for output, node counts included, but not in
 method.  The pure twin takes the candidates of a target element as one
 bitset: the AND, over the elements assigned before it, of the above, below
 or apart row of their images; it tries them lowest bit first, which is the
 compiled twin's ascending host order.  Its ``witness_search`` keeps one
-pointer per permutation table for the lex-leader test and undoes pointer
-moves from a trail on backtrack, instead of rescanning every table from
-vertex 0 at each node as the compiled twin does; both prune the same nodes.
+pointer per permutation table for the lex-leader test, and undoes pointer
+moves on backtrack from a trail that holds each moved table with its old
+pointer, instead of rescanning every table from vertex 0 at each node as
+the compiled twin does; both prune the same nodes.
 The pure ``witness_search`` also memoizes the check for a copy topped at
 the vertex just colored, when the target has a single maximal element,
 keyed by the color class inside that vertex's down-set; the compiled twin

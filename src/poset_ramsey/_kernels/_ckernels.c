@@ -9,13 +9,17 @@
  * target has at most 64 elements.
  *
  * As in the pure twin, red and blue share one path, indexed by color c:
- * t[c] is the target that color c avoids (red Q, blue P).
+ * t[c] is the target that color c avoids (red Q, blue P).  Also as in the
+ * pure twin, a newly colored vertex gets one anchored check per class of
+ * twin maximal elements (maximal elements with equal below masks, which an
+ * automorphism swaps), anchored at the least element of the class.
  *
  * The method differs from the pure twin's: find_copy scans the hosts in
  * ascending order for each target element, the anchored checks have no
  * memo, and the lex-leader test rescans every permutation table from
- * vertex 0 at each node.  Both prune exactly the nodes the pure twin
- * prunes.
+ * vertex 0 at each node, where the pure twin keeps a pointer per table and
+ * a trail of old pointers to undo.  Both prune exactly the nodes the pure
+ * twin prunes.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -166,13 +170,22 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
     int64_t count[2] = {0, 0}, nodes = 0, v = 0;
     double deadline = pr->time_limit > 0 ? monotonic_seconds() + pr->time_limit : 0.0;
     int status = STATUS_NONE;
-    /* the maximal elements of each target: every copy has its largest
-     * image at one of them, so checking them at each vertex leaves no copy
-     * for a leaf to find */
-    for (int c = 0; c < 2; c++)
-        for (int e = 0; e < pr->t[c].m; e++)
-            if (pr->t[c].above[e] == 0)
+    /* the maximal elements of each target, the least of each class of
+     * twins: every copy has its largest image at a maximal element, and
+     * twins give one answer, so checking these at each vertex leaves no
+     * copy for a leaf to find */
+    for (int c = 0; c < 2; c++) {
+        const target *t = &pr->t[c];
+        for (int e = 0; e < t->m; e++) {
+            int i = 0;
+            if (t->above[e] != 0)
+                continue;
+            while (i < ntops[c] && t->below[tops[c][i]] != t->below[e])
+                i++;
+            if (i == ntops[c])
                 tops[c][ntops[c]++] = e;
+        }
+    }
     state[0] = 0;
     while (v >= 0) {
         int c = state[v], ok = 1;

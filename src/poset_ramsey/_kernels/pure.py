@@ -23,18 +23,23 @@ reaches that vertex.
 
 The two colors go through one path: red avoids Q_n and blue avoids P, and
 each is a plain target.  When ``witness_search`` colors vertex v, it checks
-for copies of that color's target whose image of a maximal element is v,
-once per maximal element (an element with an empty above-mask).  Every copy
-has its numerically largest image at a maximal element, and every other
-image is colored by then, so these anchored checks rule out every copy
-and a leaf needs no further check.  When the target has a single maximal
-element, that element lies above every other, so every other image lies
-below v and the answer depends only on the color class inside v's
-down-set.  That set alone is the key of a per-search memo for the check: v
-is above every vertex in it, so vertices whose down-sets hold the same
-colored vertices share one entry.  A memo holds at most ``_MEMO_ENTRIES``
-answers and is cleared when full.  A target with several maximal elements
-is checked afresh each time.
+for copies of that color's target whose image of a maximal element is v
+(an element with an empty above-mask).  Every copy has its numerically
+largest image at a maximal element, and every other image is colored by
+then, so these anchored checks rule out every copy and a leaf needs no
+further check.  Maximal elements with equal below-masks are twins: swapping
+two of them is an automorphism of the target, so their anchored checks give
+one answer, and one check is made per class of twins, anchored at its least
+element.  The top layer of a complete multipartite target is one class.
+When the target has a single maximal element, that element lies above
+every other, so every other image lies below v and the answer depends only
+on the color class inside v's down-set.  That set alone is the key of a
+per-search memo for the check: v is above every vertex in it, so vertices
+whose down-sets hold the same colored vertices share one entry.  A memo
+holds at most ``_MEMO_ENTRIES`` answers and is cleared when full.  A target
+with several maximal elements is checked afresh each time, even when they
+form one class of twins: a copy may then put a twin of the anchored element
+outside v's down-set, so the color class below v does not decide it.
 
 Symmetry breaking in ``witness_search`` is an incremental lex-leader test:
 each permutation table keeps a pointer, and the positions before it compare
@@ -42,10 +47,9 @@ equal under the current partial coloring.  A table waits in the bucket of
 the vertex that decides its next position; coloring that vertex advances
 it, retires it once the permuted coloring is strictly greater, or prunes
 the node when it is strictly less.  The tables that moved on when a vertex
-was colored are its trail: on backtrack each is popped from its new bucket,
-and its old pointer is recomputed rather than stored, since it is the
-position the table maps onto that vertex when that position lies below the
-vertex, else the vertex itself.
+was colored are its trail, each stored with its old pointer: on backtrack,
+or when the node is pruned, each is popped from its new bucket, last first,
+and its old pointer restored.
 """
 
 from __future__ import annotations
@@ -254,17 +258,20 @@ def witness_search(
     deadline = time.monotonic() + time_limit if time_limit > 0 else None
     images = [0] * max(len(p_below), len(q_below))
 
-    # checks[c]: the plans of the color-c copies topped at v, one per maximal
-    # element of the color-c target; memos[c]: their answers keyed by the
-    # color class below v when there is one plan (see the module docstring),
-    # else None
+    # checks[c]: the plans of the color-c copies topped at v, one per class
+    # of twin maximal elements of the color-c target (see the module
+    # docstring); memos[c]: their answers keyed by the color class below v
+    # when the target has one maximal element, else None
     checks = []
     memos = []
     for below, above in ((q_below, q_above), (p_below, p_above)):
         m = len(below)
-        plans = [_plan(below, above, _anchored_order(m, e)) for e in range(m) if not above[e]]
-        checks.append(plans)
-        memos.append({} if len(plans) == 1 else None)
+        tops = [e for e in range(m) if not above[e]]
+        firsts = {}
+        for e in tops:
+            firsts.setdefault(below[e], e)
+        checks.append([_plan(below, above, _anchored_order(m, e)) for e in firsts.values()])
+        memos.append({} if len(tops) == 1 else None)
 
     # rows[g] = [apart, above, below, empty] over vertex masks, in a single
     # window; "apart" is a complement, so vertices not reached yet read as
@@ -281,54 +288,12 @@ def witness_search(
     nperm = len(perm_tables)
     ptr = [0] * nperm
     # buckets[w]: the tables whose next undecided position is decided by
-    # vertex w; moved[w]: those that moved on when w was colored, in order
+    # vertex w; moved[w]: (table, old pointer) for each table that moved on
+    # when w was colored, flattened, in order
     buckets = [[] for _ in range(volume)] if nperm else []
     moved = [[] for _ in range(volume)] if nperm else []
     for t, table in enumerate(perm_tables):
         buckets[table[0]].append(t)
-
-    def leads(v: int) -> bool:
-        """Advance the tables waiting on v; False if one permuted coloring is less."""
-        trail = moved[v]
-        for t in buckets[v]:
-            table = perm_tables[t]
-            p = ptr[t]
-            while p <= v:
-                u = table[p]
-                if u > v:
-                    break
-                if colors[u] != colors[p]:
-                    if colors[u] < colors[p]:
-                        return False
-                    break
-                p += 1
-            if p <= v:
-                if u <= v:
-                    continue  # the permuted coloring is greater for good: t retires
-                w = u
-            elif p < volume:
-                u = table[p]
-                w = p if p > u else u
-            else:
-                continue  # equal everywhere: nothing left to decide
-            ptr[t] = p
-            buckets[w].append(t)
-            trail.append(t)
-        return True
-
-    def unlead(v: int) -> None:
-        """Undo leads(v), last move first."""
-        trail = moved[v]
-        while trail:
-            t = trail.pop()
-            table = perm_tables[t]
-            p = ptr[t]
-            u = table[p]
-            buckets[p if p > u else u].pop()
-            # the old pointer waited on v: the position mapped onto v if that
-            # lies below v (comparing it needed v), else v itself
-            p = table.index(v)
-            ptr[t] = p if p < v else v
 
     colors = [-1] * volume
     masks = [0, 0]  # red, blue vertex bitsets
@@ -338,11 +303,18 @@ def witness_search(
     v = 0
     while v >= 0:
         c = colors[v]
-        if c >= 0:  # back at a vertex that passed its checks
+        if c >= 0:  # back at a colored vertex: uncolor it, undo its moves
             masks[c] ^= 1 << v
             colors[v] = -1
             if nperm:
-                unlead(v)
+                trail = moved[v]
+                while trail:
+                    p = trail.pop()
+                    t = trail.pop()
+                    q = ptr[t]
+                    u = perm_tables[t][q]
+                    buckets[q if q > u else u].pop()
+                    ptr[t] = p
         c = state[v]
         if c == 2:
             v -= 1
@@ -370,7 +342,8 @@ def witness_search(
         masks[c] |= 1 << v
         memo = memos[c]
         if memo is None:
-            ok = not any(has_copy(plan, masks[c], v) for plan in checks[c])
+            if any(has_copy(plan, masks[c], v) for plan in checks[c]):
+                continue  # the loop's head uncolors v
         else:
             key = masks[c] & rows[v][_BELOW]
             ok = memo.get(key)
@@ -378,13 +351,42 @@ def witness_search(
                 if len(memo) >= _MEMO_ENTRIES:
                     memo.clear()
                 ok = memo[key] = not has_copy(checks[c][0], key | 1 << v, v)
-        if ok and nperm and not leads(v):
-            unlead(v)
-            ok = False
-        if not ok:
-            masks[c] ^= 1 << v
-            colors[v] = -1
-        elif v < volume - 1:
+            if not ok:
+                continue
+        if nperm:
+            # advance the tables waiting on v; a permuted coloring that is
+            # less prunes v, and the loop's head undoes the moves so far
+            trail = moved[v]
+            less = False
+            for t in buckets[v]:
+                table = perm_tables[t]
+                p = old = ptr[t]
+                while p <= v:
+                    u = table[p]
+                    if u > v:
+                        break
+                    if colors[u] != colors[p]:
+                        less = colors[u] < colors[p]
+                        break
+                    p += 1
+                if p <= v:
+                    if less:
+                        break
+                    if u <= v:
+                        continue  # the permuted coloring is greater for good: t retires
+                    w = u
+                elif p < volume:
+                    u = table[p]
+                    w = p if p > u else u
+                else:
+                    continue  # equal everywhere: nothing left to decide
+                ptr[t] = p
+                buckets[w].append(t)
+                trail.append(t)
+                trail.append(old)
+            if less:
+                continue
+        if v < volume - 1:
             v += 1
             state[v] = 0
         else:

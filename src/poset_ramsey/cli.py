@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -193,17 +194,22 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_writable(path: Path) -> None:
-    """Raise the ``OSError`` that writing a file at ``path`` would, unwritten."""
-    if path.is_dir():
+def _check_writable(path: str) -> None:
+    """Raise the ``OSError`` that writing a file at ``path`` would, unwritten.
+
+    ``path`` is the user's string, as ``_emit`` opens it: ``Path`` would drop
+    a trailing slash and check a file where the user named a directory.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
         code = errno.EISDIR
-    elif not path.parent.is_dir():
-        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
-    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
     else:
         return
-    raise OSError(code, os.strerror(code), str(path))
+    raise OSError(code, os.strerror(code), path)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -212,7 +218,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +335,14 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     # every output path is checked before any file is written, so a refused
     # run leaves no file behind
     if args.out is not None:
-        _check_writable(Path(args.out))
+        _check_writable(args.out)
     witness_files = {}
     if args.witness_dir is not None:
         out_dir = Path(args.witness_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         witness_files = {N: str(out_dir / f"witness_N{N}.txt") for N in sorted(result.witnesses)}
         for path in witness_files.values():
-            _check_writable(Path(path))
+            _check_writable(path)
     data = {
         "status": result.status,
         "value": result.value,
@@ -456,7 +463,13 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
 # Parser assembly
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ramsey`` parser, built once per process.
+
+    Building the argparse tree costs about twenty times a parse, and parsing
+    leaves the parser unchanged, so every ``main`` call shares one.
+    """
     parser = argparse.ArgumentParser(
         prog="ramsey",
         description="Exact small-scale Ramsey values, bound formulas, and "

@@ -21,6 +21,10 @@ from poset_ramsey.posets import Embedding, Poset, make_boolean_poset
 #: Default cap on backtracking nodes per witness search.
 DEFAULT_NODE_BUDGET = 1 << 26
 
+#: Largest node budget: the compiled kernel counts nodes in a signed 64-bit
+#: word.
+MAX_NODE_BUDGET = (1 << 63) - 1
+
 #: Ground-set permutation tables grow as N! * 2^N; past this they cost more
 #: than the search they would prune.
 MAX_SYMMETRY_DIMENSION = 6
@@ -38,6 +42,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError("node budget must be positive")
+        if self.max_nodes > MAX_NODE_BUDGET:
+            raise ValueError(f"node budget must be at most {MAX_NODE_BUDGET}")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time limit must be positive when given")
 

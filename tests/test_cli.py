@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from poset_ramsey import cli, search
+from poset_ramsey._kernels import pure
 from poset_ramsey.cli import main
 from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import certificate_from_json_dict, verify_certificate
@@ -707,17 +708,22 @@ def test_poset_files_past_the_relation_budget_are_usage_errors(tmp_path, capsys,
 def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
     plain_file = tmp_path / "file"
     plain_file.write_text("")
+    # a trailing slash names a directory: the path is not cut to a file name
+    dir_path = f"{tmp_path / 'x'}/"
     for argv, path in [
         (("construct", "--chain", "3", "--out"), tmp_path / "missing" / "p.json"),
         (("exact", "--chain", "2", "--n", "1", "--witness-dir"), plain_file / "w"),
         (("bound", "--spindle", "1,2,1", "--n", "1024", "--out"), plain_file / "b.txt"),
         (("bound", "--chain", "3", "--n", "5", "--out"), plain_file / "c.txt"),
         (("exact", "--chain", "2", "--n", "2", "--out"), plain_file / "e.txt"),
+        (("bound", "--chain", "2", "--n", "1", "--out"), dir_path),
+        (("exact", "--chain", "2", "--n", "1", "--out"), dir_path),
     ]:
         with pytest.raises(SystemExit) as info:
             _run(capsys, *argv, str(path))
         assert info.value.code == 2
         assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
     # a refused --out leaves no witness file behind
     wdir = tmp_path / "w"
     out = tmp_path / "missing" / "e.txt"
@@ -807,6 +813,8 @@ def test_entry_point_exits_2_without_traceback(tmp_path):
         ["exact", "--chain", "65", "--n", "1"],
         ["witness", "--chain", "2", "--n", "1", "--N", "25"],
         ["witness", "--chain", "2", "--n", "1", "--N", "2", "--time-limit", "nan"],
+        ["witness", "--chain", "2", "--n", "1", "--N", "2",
+         "--max-nodes", "99999999999999999999"],
         ["extract", "--what", "chain", "--n", "20", "--k", "5", "--all-red"],
         ["verify-cert", "--cert", str(big), "--coloring", str(col_path)],
     ]
@@ -823,6 +831,20 @@ def test_entry_point_exits_2_without_traceback(tmp_path):
         assert "ramsey: error:" in proc.stderr, argv
 
 
+def test_node_budget_past_64_bits_is_a_usage_error_on_both_twins(
+        compiled_kernels, monkeypatch, capsys):
+    # the compiled twin counts nodes in a signed 64-bit word: a larger
+    # budget was an OverflowError traceback there, while the pure twin ran
+    argv = ["witness", "--chain", "2", "--n", "1", "--N", "2", "--max-nodes"]
+    for twin in (pure, compiled_kernels):
+        monkeypatch.setattr(search._kernels, "witness_search", twin.witness_search)
+        assert _run(capsys, *argv, str(search.MAX_NODE_BUDGET))[0] == 0
+        with pytest.raises(SystemExit) as info:
+            _run(capsys, *argv, str(search.MAX_NODE_BUDGET + 1))
+        assert info.value.code == 2
+        assert f"node budget must be at most {search.MAX_NODE_BUDGET}" in capsys.readouterr().err
+
+
 def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
     # json decodes arrays recursively: this was a RecursionError traceback
     deep = tmp_path / "deep.json"
@@ -835,3 +857,51 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
             _run(capsys, *argv)
         assert info.value.code == 2
         assert "recursion" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- parser reuse
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _outcome(capsys, argv: list[str]) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    """One parser serves every call: an interleaved run of all seven
+    subcommands, usage errors and help included, gives what a parser built
+    afresh for each call gives."""
+    col_path = tmp_path / "c.txt"
+    write_coloring(col_path, Coloring(3, 0b10110110))
+    cert_path = str(tmp_path / "cert.json")
+    argvs = [
+        ["--help"],
+        ["construct", "--chain", "3"],
+        ["construct", "--chain", "3", "--antichain", "2"],  # clash after a success
+        ["bound", "--spindle", "1,2,1", "--n", "1024", "--json"],
+        ["bound", "--n", "5"],  # no formula chosen
+        ["exact", "--antichain", "2", "--n", "1", "--json"],
+        ["witness", "--chain", "3", "--n", "2", "--N", "4", "--max-nodes", "5"],
+        ["witness", "--chain", "2", "--n", "1", "--N", "1", "--symmetry"],
+        ["exact", "--chain", "65", "--n", "1"],  # refused by a handler
+        ["extract", "--what", "chain", "--n", "1", "--k", "2", "--coloring", str(col_path),
+         "--out", cert_path],
+        ["verify-cert", "--cert", cert_path, "--coloring", str(col_path)],
+        ["export-dot", "--boolean", "2"],
+        ["exact", "--help"],
+        ["witness", "--chain", "x", "--n", "1", "--N", "1"],
+        ["bound", "--chain", "3", "--n", "5"],
+    ]
+    shared = [_outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 3, 0, 2, 0, 0, 0, 0, 2, 0]

@@ -28,7 +28,7 @@ from poset_ramsey.posets import (
 )
 from poset_ramsey.search import ground_permutation_tables
 
-from conftest import brute_has_copy_in_masks, brute_is_witness, random_poset
+from conftest import brute_first_witness, brute_has_copy_in_masks, brute_is_witness, random_poset
 
 
 def _relations(p):
@@ -141,6 +141,22 @@ def _grid():
     # K_{3,1} beside a point, and a connected poset with two maxima
     yield Poset(5, (16, 16, 16, 0, 0)), 2, 4, False
     yield Poset(5, (0, 5, 0, 1, 1)), 1, 4, False
+    # twin maxima (equal down-sets), one anchored check per class: the top
+    # layers of K_{1,2} and K_{2,3}, an antichain, and a spindle's antichain
+    yield make_complete_multipartite((1, 2)), 1, 4, False
+    yield make_complete_multipartite((1, 2)), 2, 5, True
+    yield make_complete_multipartite((2, 3)), 1, 4, False
+    yield make_complete_multipartite((2, 3)), 2, 5, True
+    yield make_antichain(4), 1, 4, False
+    yield make_antichain(4), 3, 5, True
+    yield make_spindle((1, 3, 0)), 1, 4, False
+    yield make_spindle((1, 3, 0)), 2, 5, True
+    # near-twins: maxima with different down-sets, each checked; a 2-chain
+    # beside two points (the points are twins, the chain's top is not), and
+    # two disjoint 2-chains
+    yield Poset(4, (2, 0, 0, 0)), 2, 4, False
+    yield Poset(4, (2, 0, 0, 0)), 2, 5, True
+    yield Poset(4, (4, 8, 0, 0)), 1, 4, False
 
 
 def _assert_twins_agree(compiled_kernels, p, n, N, symmetry, **budget):
@@ -177,6 +193,27 @@ def test_witness_search_backends_agree_under_budget(compiled_kernels):
             assert a == b
             if a[0] == STATUS_BUDGET:
                 assert a[2] >= max_nodes
+
+
+def test_twin_maxima_share_a_check_but_not_the_memo(kernel_backends):
+    """Twin maxima need one anchored check, but the memo stays off unless
+    the target has a single maximal element: a copy may put another twin
+    outside the anchored vertex's down-set, so the color class below that
+    vertex does not decide the check.  Brute force gives the least witness;
+    a memo on these targets misses copies and returns another coloring, or
+    a witness where none exists (K_{1,2} against Q_1 at N = 3)."""
+    cases = [
+        (make_antichain(2), 1, 2),
+        (make_antichain(2), 2, 3),
+        (make_antichain(3), 1, 3),
+        (make_complete_multipartite((1, 2)), 1, 3),
+        (make_spindle((1, 3, 0)), 0, 3),
+    ]
+    for p, n, N in cases:
+        want = brute_first_witness(p, make_boolean_poset(n), N)
+        expected = (STATUS_NONE, 0) if want is None else (STATUS_FOUND, want.bits)
+        for backend in kernel_backends.values():
+            assert backend.witness_search(*_search_args(p, n, N))[:2] == expected
 
 
 def _memo_grid():
