@@ -201,7 +201,9 @@ def _check_writable(path: str) -> None:
     a trailing slash and check a file where the user named a directory.
     """
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT

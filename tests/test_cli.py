@@ -733,6 +733,12 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
     assert info.value.code == 2
     assert str(out) in capsys.readouterr().err
     assert list(wdir.glob("witness_*")) == []
+    # an empty --out is refused before the witness directory is made
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "exact", "--antichain", "2", "--n", "2", "--nmax", "4",
+             "--witness-dir", str(tmp_path / "w2"), "--out", "")
+    assert info.value.code == 2
+    assert not (tmp_path / "w2").exists()
     # a refused witness path leaves neither --out nor the earlier witness files
     (wdir / "witness_N3.txt").mkdir(parents=True)
     out = tmp_path / "e.txt"
