@@ -23,15 +23,18 @@ The two twins agree output for output, node counts included, but not in
 method.  The pure twin takes the candidates of a target element as one
 bitset: the AND, over the elements assigned before it, of the above, below
 or apart row of their images; it tries them lowest bit first, which is the
-compiled twin's ascending host order.  Its ``witness_search`` keeps one
-pointer per permutation table for the lex-leader test, and undoes pointer
-moves on backtrack from a trail that holds each moved table with its old
-pointer, instead of rescanning every table from vertex 0 at each node as
-the compiled twin does; both prune the same nodes.
-The pure ``witness_search`` also memoizes the check for a copy topped at
-the vertex just colored, when the target has a single maximal element,
-keyed by the color class inside that vertex's down-set; the compiled twin
-searches afresh every time, with the same answers.
+compiled twin's ascending host order.  The pure ``witness_search`` also
+memoizes the check for a copy topped at the vertex just colored, when the
+target has a single maximal element, keyed by the color class inside that
+vertex's down-set; the compiled twin searches afresh every time, with the
+same answers.
+
+The lex-leader test is one design in both twins.  The permutation tables
+are sorted into a prefix tree of groups, built once per tables object:
+the members of a group agree on every position before its split, so they
+advance as one pointer up to there, and its subgroups take over from the
+split.  A moved group is undone on backtrack from a trail that holds its
+old pointer.  Both twins prune the same nodes.
 """
 
 from __future__ import annotations

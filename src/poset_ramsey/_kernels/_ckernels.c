@@ -12,14 +12,18 @@
  * t[c] is the target that color c avoids (red Q, blue P).  Also as in the
  * pure twin, a newly colored vertex gets one anchored check per class of
  * twin maximal elements (maximal elements with equal below masks, which an
- * automorphism swaps), anchored at the least element of the class.
+ * automorphism swaps), anchored at the least element of the class.  The
+ * lex-leader test is the pure twin's too: the sorted tables form a prefix
+ * tree of groups, and each group keeps a pointer, waits in the bucket of
+ * the vertex that decides its next position, and is undone from a trail.
+ * Here the buckets are linked lists threaded through the trail, which
+ * works as a stack because moves are undone last first.  The groups of a
+ * tuple of bytes tables are kept for the next call given the same tuple.
  *
- * The method differs from the pure twin's: find_copy scans the hosts in
- * ascending order for each target element, the anchored checks have no
- * memo, and the lex-leader test rescans every permutation table from
- * vertex 0 at each node, where the pure twin keeps a pointer per table and
- * a trail of old pointers to undo.  Both prune exactly the nodes the pure
- * twin prunes.
+ * The method differs from the pure twin's in the embedding search:
+ * find_copy scans the hosts in ascending order for each target element,
+ * and the anchored checks have no memo.  Both give the answers the pure
+ * twin gives.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -121,33 +125,165 @@ static int find_copy(const target *t, const uint64_t *hosts, int64_t nhosts,
     return 0;
 }
 
-/* Is the color string of vertices 0..v no greater than its image under
- * every table?  Each table is compared from vertex 0 up to the first
- * position whose image is not colored yet. */
-static int lex_leader(const int32_t *perms, int nperm, int64_t volume,
-                      const int8_t *colors, int64_t v)
+/* The permutation tables as a prefix tree of groups, as in the pure twin:
+ * group 0 holds every table, and the members of a group agree on every
+ * position before its split, so they advance as one up to there.  The
+ * subgroups of a group part its members by their entries from its split
+ * on, and start there; a leaf's split is the table length. */
+typedef struct {
+    int32_t start, split;
+    int32_t kid, nkids;    /* subgroups: groups kid .. kid + nkids - 1 */
+    const int32_t *table;  /* the least member's table */
+} lex_group;
+
+typedef struct {
+    int64_t volume;        /* entries per table: 2^N */
+    int32_t *perms;        /* the tables, one after another */
+    lex_group *groups;
+    int32_t ngroups;
+    int64_t moves;         /* most trail entries live at once (see below) */
+} lex_tables;
+
+typedef struct {
+    const int32_t *row;
+    int64_t len;
+} table_ref;
+
+static int compare_tables(const void *a, const void *b)
 {
-    for (int t = 0; t < nperm; t++) {
-        const int32_t *table = perms + t * volume;
-        for (int64_t p = 0; p <= v; p++) {
-            int64_t u = table[p];
-            if (u > v)
-                break;
-            if (colors[u] != colors[p]) {
-                if (colors[u] < colors[p])
-                    return 0;
-                break;
-            }
+    const table_ref *x = a, *y = b;
+    for (int64_t p = 0; p < x->len; p++)
+        if (x->row[p] != y->row[p])
+            return x->row[p] < y->row[p] ? -1 : 1;
+    return 0;
+}
+
+/* Group the nperm >= 1 tables in lt->perms: sort them, find the first
+ * position where each two neighbours differ, and split each group at the
+ * least such position within it.  Returns -1 when memory runs out. */
+static int build_groups(lex_tables *lt, int32_t nperm)
+{
+    int64_t volume = lt->volume;
+    table_ref *refs = malloc((size_t)nperm * sizeof *refs);
+    int64_t *common = malloc((size_t)nperm * sizeof *common);
+    int32_t *lo = malloc(2 * (size_t)nperm * sizeof *lo);
+    int32_t *hi = malloc(2 * (size_t)nperm * sizeof *hi);
+    lex_group *groups = lt->groups = malloc(2 * (size_t)nperm * sizeof *groups);
+    int32_t n = 1;
+    int rc = -1;
+    if (refs && common && lo && hi && groups) {
+        for (int32_t i = 0; i < nperm; i++)
+            refs[i] = (table_ref){lt->perms + i * volume, volume};
+        qsort(refs, (size_t)nperm, sizeof *refs, compare_tables);
+        for (int32_t i = 0; i + 1 < nperm; i++) {
+            int64_t p = 0;
+            while (p < volume && refs[i].row[p] == refs[i + 1].row[p])
+                p++;
+            common[i] = p;
         }
+        lo[0] = 0;
+        hi[0] = nperm;
+        groups[0].start = 0;
+        lt->moves = 0;
+        for (int32_t g = 0; g < n; g++) {
+            int64_t split = volume;
+            for (int32_t i = lo[g]; i + 1 < hi[g]; i++)
+                if (common[i] < split)
+                    split = common[i];
+            groups[g].split = (int32_t)split;
+            groups[g].table = refs[lo[g]].row;
+            groups[g].kid = n;
+            for (int32_t i = lo[g], a = lo[g]; split < volume && i < hi[g]; i++) {
+                if (i + 1 == hi[g] || common[i] == split) {
+                    lo[n] = a;
+                    hi[n] = a = i + 1;
+                    groups[n++].start = (int32_t)split;
+                }
+            }
+            groups[g].nkids = n - groups[g].kid;
+            lt->moves += split - groups[g].start;
+        }
+        /* the live moves of a group leave its pointer at distinct
+         * positions from its start to below its split, so it has at most
+         * split - start of them; group 0 takes one more entry at the start */
+        lt->moves += 1;
+        lt->ngroups = n;
+        rc = 0;
+    }
+    free(refs);
+    free(common);
+    free(lo);
+    free(hi);
+    return rc;
+}
+
+typedef struct {           /* a group that moved on: a trail and bucket entry */
+    int32_t group, old;    /* the group and its old pointer */
+    int64_t next;          /* the next entry in the same bucket, or -1 */
+} lex_move;
+
+typedef struct {           /* the lex-leader test's state in one search */
+    int32_t *ptr;          /* ptr[g]: positions before it compare equal */
+    int64_t *head;         /* head[w]: the latest move waiting on vertex w */
+    int64_t *mark;         /* mark[v]: the trail's length before v's moves */
+    int32_t *todo;         /* the groups left to advance in one pass */
+    lex_move *trail;       /* every live move, in order */
+    int64_t top;
+} lex_state;
+
+/* Advance the groups waiting on vertex v, and the subgroups of each group
+ * that compares equal up to its split.  Returns 0 when a permuted coloring
+ * is less, which prunes v; undo_moves() then takes back the moves so far. */
+static int advance_groups(const lex_tables *lt, lex_state *st, const int8_t *colors, int64_t v)
+{
+    int32_t ntodo = 0;
+    st->mark[v] = st->top;
+    for (int64_t k = st->head[v]; k >= 0; k = st->trail[k].next)
+        st->todo[ntodo++] = st->trail[k].group;
+    while (ntodo > 0) {
+        int32_t g = st->todo[--ntodo];
+        const lex_group *grp = &lt->groups[g];
+        const int32_t *table = grp->table;
+        int64_t end = grp->split, stop = end <= v ? end : v + 1, p = st->ptr[g], u = 0, w;
+        while (p < stop && (u = table[p]) <= v && colors[u] == colors[p])
+            p++;
+        if (p < stop) {
+            if (u > v)
+                w = u;
+            else if (colors[u] < colors[p])
+                return 0;
+            else
+                continue;  /* the permuted coloring is greater for good: g retires */
+        } else if (p < end) {
+            u = table[p];
+            w = p > u ? p : u;
+        } else {           /* equal up to the split: the subgroups take over */
+            for (int32_t i = 0; i < grp->nkids; i++)
+                st->todo[ntodo++] = grp->kid + i;
+            continue;
+        }
+        st->trail[st->top] = (lex_move){g, st->ptr[g], st->head[w]};
+        st->head[w] = st->top++;
+        st->ptr[g] = (int32_t)p;
     }
     return 1;
+}
+
+/* Take back the moves made when vertex v was colored, last first. */
+static void undo_moves(const lex_tables *lt, lex_state *st, int64_t v)
+{
+    while (st->top > st->mark[v]) {
+        const lex_move *m = &st->trail[--st->top];
+        int64_t q = st->ptr[m->group], u = lt->groups[m->group].table[q];
+        st->head[q > u ? q : u] = m->next;
+        st->ptr[m->group] = m->old;
+    }
 }
 
 typedef struct {
     int num_bits;          /* host dimension N: vertices are 0..2^N-1 */
     target t[2];           /* the targets red and blue avoid: Q and P */
-    const int32_t *perms;  /* nperm vertex tables, 2^N entries each */
-    int nperm;
+    const lex_tables *lex; /* the permutation tables' groups, or NULL */
     int64_t max_nodes;
     double time_limit;     /* seconds; no deadline when <= 0 */
 } search_problem;
@@ -162,9 +298,11 @@ static double monotonic_seconds(void)
 /* The depth-first loop of search(), over arrays it has allocated: hosts[c]
  * lists the color-c vertices in ascending order. */
 static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
-                      uint64_t *hosts[2], uint8_t *witness, int64_t *nodes_out)
+                      uint64_t *hosts[2], lex_state *st, uint8_t *witness,
+                      int64_t *nodes_out)
 {
     scratch s;
+    const lex_tables *lex = pr->lex;
     int tops[2][64], ntops[2] = {0, 0};
     int64_t volume = (int64_t)1 << pr->num_bits;
     int64_t count[2] = {0, 0}, nodes = 0, v = 0;
@@ -186,12 +324,27 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
                 tops[c][ntops[c]++] = e;
         }
     }
+    if (lex) {
+        /* group 0 holds every table and waits on the vertex that decides
+         * position 0 for its first table, the least there; if the tables
+         * differ at position 0, its subgroups take over at that vertex */
+        for (int32_t g = 0; g < lex->ngroups; g++)
+            st->ptr[g] = lex->groups[g].start;
+        for (int64_t w = 0; w < volume; w++)
+            st->head[w] = -1;
+        st->trail[0] = (lex_move){0, 0, -1};
+        st->head[lex->groups[0].table[0]] = 0;
+        st->top = 1;
+    }
     state[0] = 0;
     while (v >= 0) {
         int c = state[v], ok = 1;
         if (c == 2) {
-            if (--v >= 0)
+            if (--v >= 0) {
                 count[colors[v]]--;
+                if (lex)
+                    undo_moves(lex, st, v);
+            }
             continue;
         }
         state[v] = (int8_t)(c + 1);
@@ -207,8 +360,10 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
         hosts[c][count[c]++] = (uint64_t)v;
         for (int i = 0; i < ntops[c] && ok; i++)
             ok = !find_copy(&pr->t[c], hosts[c], count[c], tops[c][i], (uint64_t)v, &s);
-        if (ok && pr->nperm)
-            ok = lex_leader(pr->perms, pr->nperm, volume, colors, v);
+        if (ok && lex && !advance_groups(lex, st, colors, v)) {
+            undo_moves(lex, st, v);
+            ok = 0;
+        }
         if (!ok) {
             count[c]--;
         } else if (v < volume - 1) {
@@ -231,15 +386,30 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
 static int search(const search_problem *pr, uint8_t *witness, int64_t *nodes)
 {
     size_t volume = (size_t)1 << pr->num_bits;
+    const lex_tables *lex = pr->lex;
     int8_t *colors = malloc(volume), *state = malloc(volume);
     uint64_t *hosts[2] = {malloc(volume * sizeof **hosts), malloc(volume * sizeof **hosts)};
+    lex_state st = {NULL, NULL, NULL, NULL, NULL, 0};
     int status = -1;
-    if (colors && state && hosts[0] && hosts[1])
-        status = run_search(pr, colors, state, hosts, witness, nodes);
+    if (lex) {
+        st.ptr = malloc((size_t)lex->ngroups * sizeof *st.ptr);
+        st.head = malloc(volume * sizeof *st.head);
+        st.mark = malloc(volume * sizeof *st.mark);
+        st.todo = malloc((size_t)lex->ngroups * sizeof *st.todo);
+        st.trail = malloc((size_t)lex->moves * sizeof *st.trail);
+    }
+    if (colors && state && hosts[0] && hosts[1]
+            && (!lex || (st.ptr && st.head && st.mark && st.todo && st.trail)))
+        status = run_search(pr, colors, state, hosts, &st, witness, nodes);
     free(colors);
     free(state);
     free(hosts[0]);
     free(hosts[1]);
+    free(st.ptr);
+    free(st.head);
+    free(st.mark);
+    free(st.todo);
+    free(st.trail);
     return status;
 }
 
@@ -374,6 +544,60 @@ done:
     return result;
 }
 
+static void free_lex_tables(lex_tables *lt)
+{
+    free(lt->perms);
+    free(lt->groups);
+    *lt = (lex_tables){0};
+}
+
+/* Copy the nperm >= 1 tables of volume indices each into lt, and group
+ * them; on failure lt holds what the caller frees. */
+static int load_tables(PyObject *tables, Py_ssize_t nperm, int64_t volume, lex_tables *lt)
+{
+    if (nperm > INT32_MAX / 2 || nperm > PY_SSIZE_T_MAX / volume) {
+        PyErr_SetString(PyExc_ValueError, "perm_tables: too many tables");
+        return -1;
+    }
+    lt->volume = volume;
+    lt->perms = malloc((size_t)(nperm * volume) * sizeof *lt->perms);
+    if (lt->perms == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < nperm; i++) {
+        PyObject *table = PySequence_GetItem(tables, i);
+        int rc = table == NULL ? -1
+                 : copy_indices(table, "perm_tables", volume, lt->perms + i * volume, volume);
+        Py_XDECREF(table);
+        if (rc < 0)
+            return -1;
+    }
+    if (build_groups(lt, (int32_t)nperm) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* Per dimension, the groups of the last tuple of bytes tables, and a
+ * reference to it: neither can change, so a search given the same object
+ * again skips the copy and the build. */
+static struct {
+    PyObject *tables;
+    lex_tables lex;
+} cached[31];
+
+static int frozen_tables(PyObject *tables)
+{
+    if (!PyTuple_CheckExact(tables))
+        return 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(tables); i++)
+        if (!PyBytes_CheckExact(PyTuple_GET_ITEM(tables, i)))
+            return 0;
+    return 1;
+}
+
 PyDoc_STRVAR(witness_search_doc,
 "witness_search($module, /, num_bits, p_below, p_above, q_below, q_above,\n"
 "               max_nodes, time_limit, perm_tables)\n"
@@ -387,7 +611,7 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
     PyObject *p_below, *p_above, *q_below, *q_above, *tables;
     PyObject *result = NULL;
     uint64_t *arrays[2][2] = {{NULL, NULL}, {NULL, NULL}};
-    int32_t *perms = NULL;
+    lex_tables fresh = {0};
     uint8_t *witness = NULL;
     search_problem pr;
     long long max_nodes;
@@ -410,22 +634,26 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
     Py_ssize_t nperm = PySequence_Size(tables);
     if (nperm < 0)
         goto done;
-    perms = malloc((nperm > 0 ? (size_t)(nperm * volume) : 1) * sizeof *perms);
     witness = calloc((size_t)(volume + 7) / 8, 1);
-    if (perms == NULL || witness == NULL) {
+    if (witness == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t i = 0; i < nperm; i++) {
-        PyObject *table = PySequence_GetItem(tables, i);
-        int rc = table == NULL ? -1
-                 : copy_indices(table, "perm_tables", volume, perms + i * volume, volume);
-        Py_XDECREF(table);
-        if (rc < 0)
+    pr.lex = NULL;
+    if (nperm > 0 && tables == cached[pr.num_bits].tables) {
+        pr.lex = &cached[pr.num_bits].lex;
+    } else if (nperm > 0) {
+        if (load_tables(tables, nperm, volume, &fresh) < 0)
             goto done;
+        pr.lex = &fresh;
+        if (frozen_tables(tables)) {
+            free_lex_tables(&cached[pr.num_bits].lex);
+            Py_XSETREF(cached[pr.num_bits].tables, Py_NewRef(tables));
+            cached[pr.num_bits].lex = fresh;
+            fresh = (lex_tables){0};
+            pr.lex = &cached[pr.num_bits].lex;
+        }
     }
-    pr.perms = perms;
-    pr.nperm = (int)nperm;
     int status = search(&pr, witness, &nodes);
     if (status < 0) {
         PyErr_NoMemory();
@@ -441,7 +669,7 @@ done:
     free(arrays[0][1]);
     free(arrays[1][0]);
     free(arrays[1][1]);
-    free(perms);
+    free_lex_tables(&fresh);
     free(witness);
     return result;
 }

@@ -41,22 +41,32 @@ with several maximal elements is checked afresh each time, even when they
 form one class of twins: a copy may then put a twin of the anchored element
 outside v's down-set, so the color class below v does not decide it.
 
-Symmetry breaking in ``witness_search`` is an incremental lex-leader test:
-each permutation table keeps a pointer, and the positions before it compare
-equal under the current partial coloring.  A table waits in the bucket of
-the vertex that decides its next position; coloring that vertex advances
-it, retires it once the permuted coloring is strictly greater, or prunes
-the node when it is strictly less.  The tables that moved on when a vertex
-was colored are its trail, each stored with its old pointer: on backtrack,
-or when the node is pruned, each is popped from its new bucket, last first,
-and its old pointer restored.
+Symmetry breaking in ``witness_search`` is an incremental lex-leader test
+(Crawford, Ginsberg, Luks & Roy, KR 1996) over a prefix tree of the
+permutation tables, built once per tables object by ``lex_groups``.  A
+group is a run of the sorted tables that agree on every position before
+its split, the first position where its members differ, so they make the
+same comparisons up to there and advance as one.  Each group keeps a
+pointer: the positions before it compare equal under the current partial
+coloring.  A group waits in the bucket of the vertex that decides its next
+position; coloring that vertex advances it, retires it once the permuted
+coloring is strictly greater, or prunes the node when it is strictly less.
+A group whose pointer reaches its split hands over to its subgroups, which
+advance from that position in the same pass.  The groups that moved on
+when a vertex was colored are its trail, each stored with its old pointer:
+on backtrack, or when the node is pruned, each is popped from its new
+bucket, last first, and its old pointer restored.  A group that retires or
+hands over keeps its pointer and is not trailed: it stays in the bucket it
+was taken from, and its subgroups stay at their starting positions unless
+they moved on themselves.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 BACKEND_NAME = "pure-python"
 
@@ -231,6 +241,63 @@ def find_induced_copy(
     return result
 
 
+class LexGroups(NamedTuple):
+    """Permutation tables as a prefix tree of groups (see the module docstring).
+
+    ``order`` lists the table indices in ascending table order.  Group g
+    holds the tables ``order[lo[g]:hi[g]]``, which agree on every position
+    before ``split[g]``; ``table[g]`` is the least of them.  Group 0 holds
+    every table and starts at position 0.  The groups ``kids[g]`` part g's
+    tables by their entries from ``split[g]`` on and start there; a leaf's
+    split is the table length, so its tables are equal, and it has no kids.
+    """
+
+    order: list[int]
+    lo: list[int]
+    hi: list[int]
+    start: list[int]
+    split: list[int]
+    kids: list[Sequence[int]]
+    table: list[Sequence[int]]
+
+
+def lex_groups(perm_tables: Sequence[Sequence[int]]) -> LexGroups:
+    """Group nonempty equal-length ``perm_tables`` by their shared prefixes."""
+    volume = len(perm_tables[0])
+    width = max(1, ((volume - 1).bit_length() + 7) // 8)
+    # big-endian keys of width bytes an entry sort as the tables do
+    if width == 1:
+        keys = [bytes(table) for table in perm_tables]
+    else:
+        keys = [b"".join(x.to_bytes(width, "big") for x in table) for table in perm_tables]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    # common[i]: the first position where the tables order[i] and
+    # order[i + 1] differ, read off the highest bit of their keys' XOR
+    nbits = 8 * len(keys[0])
+    ints = [int.from_bytes(keys[i], "big") for i in order]
+    common = [(nbits - (a ^ b).bit_length()) // (8 * width) for a, b in zip(ints, ints[1:])]
+    lo, hi, start, split, kids = [0], [len(order)], [0], [], []
+    g = 0
+    while g < len(lo):
+        a, b = lo[g], hi[g]
+        s = min(common[a:b - 1], default=volume)
+        split.append(s)
+        first = len(lo)
+        if s < volume:
+            bounds = [a, *(i + 1 for i in range(a, b - 1) if common[i] == s), b]
+            lo += bounds[:-1]
+            hi += bounds[1:]
+            start += [s] * (len(bounds) - 1)
+        kids.append(range(first, len(lo)) if s < volume else ())
+        g += 1
+    return LexGroups(order, lo, hi, start, split, kids, [perm_tables[order[a]] for a in lo])
+
+
+#: Groups of the tables objects passed lately; unhashable tables may change
+#: between calls, so they are grouped afresh each time.
+_cached_lex_groups = lru_cache(maxsize=8)(lex_groups)
+
+
 def witness_search(
     num_bits: int,
     p_below: Sequence[int],
@@ -286,18 +353,28 @@ def witness_search(
         return _first_embedding(plan, [(0, universe)], window_rows, images, 1)
 
     nperm = len(perm_tables)
-    ptr = [0] * nperm
-    # buckets[w]: the tables whose next undecided position is decided by
-    # vertex w; moved[w]: (table, old pointer) for each table that moved on
-    # when w was colored, flattened, in order
-    buckets = [[] for _ in range(volume)] if nperm else []
-    moved = [[] for _ in range(volume)] if nperm else []
-    for t, table in enumerate(perm_tables):
-        buckets[table[0]].append(t)
+    if nperm:
+        try:
+            groups = _cached_lex_groups(perm_tables)
+        except TypeError:  # unhashable, so not cached
+            groups = lex_groups(perm_tables)
+        g_table, g_split, g_kids = groups.table, groups.split, groups.kids
+        ptr = list(groups.start)
+        # buckets[w]: the groups whose next undecided position is decided
+        # by vertex w; moved[w]: (group, old pointer) for each group that
+        # moved on when w was colored, flattened, in order
+        buckets = [[] for _ in range(volume)]
+        moved = [[] for _ in range(volume)]
+        # group 0 holds every table and waits on the vertex that decides
+        # position 0 for its first table, the least there; if the tables
+        # differ at position 0, its subgroups take over at that vertex
+        buckets[g_table[0][0]].append(0)
 
-    colors = [-1] * volume
+    # colors and state grow as the search first descends to a vertex, so a
+    # search that closes early never touches most of the 2^N vertices
+    colors = [-1]
     masks = [0, 0]  # red, blue vertex bitsets
-    state = [0] * volume  # next color to try at each vertex on the stack
+    state = [0]  # next color to try at each vertex on the stack
     nodes = 0
     status = STATUS_NONE
     v = 0
@@ -310,11 +387,11 @@ def witness_search(
                 trail = moved[v]
                 while trail:
                     p = trail.pop()
-                    t = trail.pop()
-                    q = ptr[t]
-                    u = perm_tables[t][q]
+                    g = trail.pop()
+                    q = ptr[g]
+                    u = g_table[g][q]
                     buckets[q if q > u else u].pop()
-                    ptr[t] = p
+                    ptr[g] = p
         c = state[v]
         if c == 2:
             v -= 1
@@ -354,14 +431,21 @@ def witness_search(
             if not ok:
                 continue
         if nperm:
-            # advance the tables waiting on v; a permuted coloring that is
-            # less prunes v, and the loop's head undoes the moves so far
+            # advance the groups waiting on v; a permuted coloring that is
+            # less prunes v, and the loop's head undoes the moves so far.
+            # The bucket doubles as the pass's work list: the subgroups of a
+            # group that compares equal up to its split are appended to it,
+            # and cut off after the pass.
+            bucket = buckets[v]
             trail = moved[v]
+            cut = 0
             less = False
-            for t in buckets[v]:
-                table = perm_tables[t]
-                p = old = ptr[t]
-                while p <= v:
+            for g in bucket:
+                table = g_table[g]
+                end = g_split[g]
+                stop = end if end <= v else v + 1
+                p = old = ptr[g]
+                while p < stop:
                     u = table[p]
                     if u > v:
                         break
@@ -369,26 +453,36 @@ def witness_search(
                         less = colors[u] < colors[p]
                         break
                     p += 1
-                if p <= v:
+                if p < stop:
                     if less:
                         break
                     if u <= v:
-                        continue  # the permuted coloring is greater for good: t retires
+                        continue  # the permuted coloring is greater for good: g retires
                     w = u
-                elif p < volume:
+                elif p < end:
                     u = table[p]
                     w = p if p > u else u
-                else:
-                    continue  # equal everywhere: nothing left to decide
-                ptr[t] = p
-                buckets[w].append(t)
-                trail.append(t)
+                else:  # equal up to the split: the subgroups take over
+                    if end < volume:
+                        if not cut:
+                            cut = len(bucket)
+                        bucket += g_kids[g]
+                    continue
+                ptr[g] = p
+                buckets[w].append(g)
+                trail.append(g)
                 trail.append(old)
+            if cut:
+                del bucket[cut:]
             if less:
                 continue
         if v < volume - 1:
             v += 1
-            state[v] = 0
+            if v < len(state):
+                state[v] = 0
+            else:
+                state.append(0)
+                colors.append(-1)
         else:
             status = STATUS_FOUND
             break

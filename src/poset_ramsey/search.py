@@ -99,6 +99,10 @@ def ground_permutation_tables(num_bits: int) -> tuple[bytes, ...]:
     The battery is closed under inversion, so the orientation of each table
     is immaterial to the lex-least pruning test.  The tables are built once
     per process and dimension; under the cap the cache stays below 90 KB.
+    Each kernel twin sorts a tuple of tables into a prefix tree of groups
+    once and keeps it: 1,235 groups for the 719 tables at dimension 6, and
+    1,487 in all under the cap, which take about 165 KB more in the pure
+    twin.
     """
     if num_bits > MAX_SYMMETRY_DIMENSION:
         raise ValueError(

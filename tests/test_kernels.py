@@ -10,8 +10,12 @@ compiled twin from ``_ckernels.c`` with ``setup.py build_ext``.
 from __future__ import annotations
 
 import inspect
+import os
 import random
+import subprocess
 import sys
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +364,180 @@ def test_symmetry_tables_do_not_change_results(kernel_backends):
             assert pruned[2] <= plain[2]
 
 
+def _vertex_tables(num_bits):
+    """Every non-identity ground-set permutation's vertex table, built here
+    without ``ground_permutation_tables``, which stops at dimension 6."""
+    tables = []
+    for perm in permutations(range(num_bits)):
+        if list(perm) != sorted(perm):
+            table = bytearray(1 << num_bits)
+            for v in range(1, 1 << num_bits):
+                low = v & -v
+                table[v] = table[v ^ low] | 1 << perm[low.bit_length() - 1]
+            tables.append(bytes(table))
+    return tuple(tables)
+
+
+def test_witness_search_twins_agree_at_dimension_7(compiled_kernels):
+    """Both twins group the 5,039 tables at N = 7 and prune alike, though
+    the search layer caps symmetry at dimension 6."""
+    assert _vertex_tables(6) == ground_permutation_tables(6)
+    tables = _vertex_tables(7)
+    assert len(tables) == 5039
+    for p in (make_chain(5), make_complete_multipartite((2, 2))):
+        args = _search_args(p, 3, 7, max_nodes=20_000)[:7] + (tables,)
+        result = pure.witness_search(*args)
+        assert result == compiled_kernels.witness_search(*args)
+        assert result == (STATUS_BUDGET, 0, 20_001)
+
+
+def test_lex_groups_form_a_prefix_tree():
+    for N in range(2, 7):
+        tables = ground_permutation_tables(N)
+        volume = 1 << N
+        groups = pure.lex_groups(tables)
+        assert sorted(groups.order) == list(range(len(tables)))
+        assert (groups.lo[0], groups.hi[0], groups.start[0]) == (0, len(tables), 0)
+        in_leaves = []
+        for g, split in enumerate(groups.split):
+            members = [tables[i] for i in groups.order[groups.lo[g]:groups.hi[g]]]
+            assert groups.table[g] == min(members)
+            # the members agree on every position before the split
+            assert all(t[:split] == members[0][:split] for t in members)
+            kids = groups.kids[g]
+            if not kids:
+                assert split == volume
+                in_leaves += groups.order[groups.lo[g]:groups.hi[g]]
+                continue
+            # the subgroups part the members, start at the split, and
+            # differ from each other there
+            assert [groups.lo[k] for k in kids] == [groups.lo[g]] + [groups.hi[k] for k in kids[:-1]]
+            assert groups.hi[kids[-1]] == groups.hi[g]
+            assert all(groups.start[k] == split for k in kids)
+            assert len({groups.table[k][split] for k in kids}) == len(kids) > 1
+        # every table lies in exactly one leaf
+        assert sorted(in_leaves) == list(range(len(tables)))
+
+
+def _rescan_search(p, q, num_bits, tables):
+    """The kernels' (status, witness bits, nodes) by definition: copies are
+    found by brute force among the colored vertices, and every table is
+    compared from vertex 0 at every node."""
+    colors = []
+    nodes = 0
+
+    def accepted(v):
+        c = colors[v]
+        if brute_has_copy_in_masks(q if c == 0 else p, [u for u in range(v + 1) if colors[u] == c]):
+            return False
+        for table in tables:
+            for pos in range(v + 1):
+                u = table[pos]
+                if u > v:
+                    break
+                if colors[u] != colors[pos]:
+                    if colors[u] < colors[pos]:
+                        return False
+                    break
+        return True
+
+    def descend(v):
+        nonlocal nodes
+        for c in (0, 1):
+            nodes += 1
+            colors.append(c)
+            if accepted(v) and (v == (1 << num_bits) - 1 or descend(v + 1)):
+                return True
+            colors.pop()
+        return False
+
+    if descend(0):
+        return STATUS_FOUND, sum(c << u for u, c in enumerate(colors)), nodes
+    return STATUS_NONE, 0, nodes
+
+
+def test_lex_leader_matches_a_rescan_of_every_table(kernel_backends):
+    """Grouping the tables changes no pruning decision.  At N = 3 both
+    twins give the result of a search that rescans every table at every
+    node: on the ground-set tables, and on random vertex permutations, which
+    move vertex 0 and so part the tables at position 0 already."""
+    rng = random.Random(7)
+    randoms = tuple(bytes(rng.sample(range(8), 8)) for _ in range(12))
+    assert len({table[0] for table in randoms}) > 1
+    cases = [
+        (make_chain(2), 1), (make_chain(3), 1), (make_antichain(2), 1),
+        (make_antichain(3), 1), (make_complete_multipartite((1, 2)), 1),
+    ]
+    pruned = 0
+    for tables in (ground_permutation_tables(3), randoms, randoms[:2]):
+        for p, n in cases:
+            q = make_boolean_poset(n)
+            want = _rescan_search(p, q, 3, tables)
+            pruned += want != _rescan_search(p, q, 3, ())
+            args = _search_args(p, n, 3)[:7] + (tables,)
+            for backend in kernel_backends.values():
+                assert backend.witness_search(*args) == want
+    # the tables prune somewhere, so the comparison means something
+    assert pruned >= 10
+
+
+def test_table_order_does_not_change_searches(kernel_backends):
+    rng = random.Random(5)
+    cases = [
+        (make_chain(4), 2, 5),
+        (make_complete_multipartite((1, 2)), 3, 5),
+        (make_boolean_poset(2), 2, 4),
+        (make_antichain(3), 2, 5),
+    ]
+    for p, n, N in cases:
+        args = _search_args(p, n, N, symmetry=True)
+        shuffled = list(args[7])
+        rng.shuffle(shuffled)
+        for backend in kernel_backends.values():
+            want = backend.witness_search(*args)
+            for tables in (tuple(shuffled), shuffled):
+                assert backend.witness_search(*args[:7], tables) == want
+
+
+def test_tables_in_a_list_are_grouped_afresh(kernel_backends):
+    """The twins keep the groups of a tables tuple; a list may change
+    between calls, so its groups are built each time."""
+    args = _search_args(make_chain(4), 2, 5, symmetry=True)
+    full, part = args[7], args[7][:30]
+    for backend in kernel_backends.values():
+        want_full = backend.witness_search(*args)
+        want_part = backend.witness_search(*args[:7], part)
+        assert want_full[2] < want_part[2]
+        tables = list(full)
+        assert backend.witness_search(*args[:7], tables) == want_full
+        tables[:] = part
+        assert backend.witness_search(*args[:7], tables) == want_part
+        assert backend.witness_search(*args) == want_full
+
+
+def test_pure_search_touches_only_the_vertices_it_reaches():
+    """C_2 against Q_0 closes in a few nodes at N = 24; per-vertex lists
+    of 2^24 entries each took the pure twin to a 272 MB peak."""
+    code = (
+        "import resource, sys\n"
+        "from poset_ramsey.cli import main\n"
+        "code = main(['witness', '--chain', '2', '--n', '0', '--N', '24'])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, peak if sys.platform == 'darwin' else peak * 1024)\n"
+    )
+    src = str(Path(pure.__file__).resolve().parents[2])
+    env = dict(os.environ, POSET_RAMSEY_BACKEND="pure", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "no witness at dimension 24"
+    code, peak = map(int, lines[-1].split())
+    assert code == 0
+    assert peak < 100 << 20
+
+
 def test_compiled_rejects_malformed_arguments(compiled_kernels):
     """The C twin checks sizes and indices before it touches its arrays."""
     find = compiled_kernels.find_induced_copy
@@ -382,6 +560,10 @@ def test_compiled_rejects_malformed_arguments(compiled_kernels):
         args[index] = value
         with pytest.raises(ValueError):
             compiled_kernels.witness_search(*args)
+    # the groups of a tables tuple are kept, but not for another dimension
+    assert compiled_kernels.witness_search(*good) == pure.witness_search(*good)
+    with pytest.raises(ValueError):
+        compiled_kernels.witness_search(1, *good[1:])
 
 
 def test_twins_share_parameter_names(compiled_kernels):
