@@ -29,12 +29,16 @@ target has a single maximal element, keyed by the color class inside that
 vertex's down-set; the compiled twin searches afresh every time, with the
 same answers.
 
-The lex-leader test is one design in both twins.  The permutation tables
-are sorted into a prefix tree of groups, built once per tables object:
-the members of a group agree on every position before its split, so they
-advance as one pointer up to there, and its subgroups take over from the
-split.  A moved group is undone on backtrack from a trail that holds its
-old pointer.  Both twins prune the same nodes.
+The lex-leader test is one design in both twins, and its plan is built
+once in Python and read by both.  ``lex_groups`` sorts the permutation
+tables into a prefix tree of groups, a ``LexPlan`` of flat ``array('i')``
+columns and each group's least table as ``bytes``: the members of a group
+agree on every position before its split, so they advance as one pointer
+up to there, and its subgroups take over from the split.  The search layer
+builds one plan per dimension and passes it, or None, as
+``witness_search``'s last argument; neither twin groups, copies or caches
+the tables.  A moved group is undone on backtrack from a trail that holds
+its old pointer.  Both twins prune the same nodes.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ else:
 MAX_TARGET_SIZE = 64
 
 BACKEND_NAME: str = _impl.BACKEND_NAME
+LexPlan = _pure.LexPlan
+lex_groups = _pure.lex_groups
 find_induced_copy = _impl.find_induced_copy
 witness_search = _impl.witness_search
 

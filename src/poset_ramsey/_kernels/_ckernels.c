@@ -13,12 +13,13 @@
  * pure twin, a newly colored vertex gets one anchored check per class of
  * twin maximal elements (maximal elements with equal below masks, which an
  * automorphism swaps), anchored at the least element of the class.  The
- * lex-leader test is the pure twin's too: the sorted tables form a prefix
- * tree of groups, and each group keeps a pointer, waits in the bucket of
- * the vertex that decides its next position, and is undone from a trail.
- * Here the buckets are linked lists threaded through the trail, which
- * works as a stack because moves are undone last first.  The groups of a
- * tuple of bytes tables are kept for the next call given the same tuple.
+ * lex-leader test is the pure twin's too, on the plan that pure.lex_groups
+ * builds once in Python: the sorted tables as a prefix tree of groups,
+ * whose columns and tables the glue reads in place.  Each group keeps a
+ * pointer, waits in the bucket of the vertex that decides its next
+ * position, and is undone from a trail.  Here the buckets are linked lists
+ * threaded through the trail, which works as a stack because moves are
+ * undone last first.
  *
  * The method differs from the pure twin's in the embedding search:
  * find_copy scans the hosts in ascending order for each target element,
@@ -31,6 +32,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <time.h>
 
 enum { STATUS_NONE, STATUS_FOUND, STATUS_BUDGET, STATUS_TIMEOUT };
@@ -125,97 +127,18 @@ static int find_copy(const target *t, const uint64_t *hosts, int64_t nhosts,
     return 0;
 }
 
-/* The permutation tables as a prefix tree of groups, as in the pure twin:
- * group 0 holds every table, and the members of a group agree on every
- * position before its split, so they advance as one up to there.  The
- * subgroups of a group part its members by their entries from its split
+/* The lex-leader plan that pure.lex_groups builds, read in place: the
+ * permutation tables as a prefix tree of groups.  Group 0 holds every
+ * table, and the members of a group agree on every position before its
+ * split, so they advance as one up to there.  The subgroups kid[g] ..
+ * kid[g] + nkids[g] - 1 part g's members by their entries from its split
  * on, and start there; a leaf's split is the table length. */
 typedef struct {
-    int32_t start, split;
-    int32_t kid, nkids;    /* subgroups: groups kid .. kid + nkids - 1 */
-    const int32_t *table;  /* the least member's table */
-} lex_group;
-
-typedef struct {
-    int64_t volume;        /* entries per table: 2^N */
-    int32_t *perms;        /* the tables, one after another */
-    lex_group *groups;
+    const int32_t *start, *split, *kid, *nkids;
+    const uint8_t **table; /* table[g]: the least member's table */
     int32_t ngroups;
-    int64_t moves;         /* most trail entries live at once (see below) */
-} lex_tables;
-
-typedef struct {
-    const int32_t *row;
-    int64_t len;
-} table_ref;
-
-static int compare_tables(const void *a, const void *b)
-{
-    const table_ref *x = a, *y = b;
-    for (int64_t p = 0; p < x->len; p++)
-        if (x->row[p] != y->row[p])
-            return x->row[p] < y->row[p] ? -1 : 1;
-    return 0;
-}
-
-/* Group the nperm >= 1 tables in lt->perms: sort them, find the first
- * position where each two neighbours differ, and split each group at the
- * least such position within it.  Returns -1 when memory runs out. */
-static int build_groups(lex_tables *lt, int32_t nperm)
-{
-    int64_t volume = lt->volume;
-    table_ref *refs = malloc((size_t)nperm * sizeof *refs);
-    int64_t *common = malloc((size_t)nperm * sizeof *common);
-    int32_t *lo = malloc(2 * (size_t)nperm * sizeof *lo);
-    int32_t *hi = malloc(2 * (size_t)nperm * sizeof *hi);
-    lex_group *groups = lt->groups = malloc(2 * (size_t)nperm * sizeof *groups);
-    int32_t n = 1;
-    int rc = -1;
-    if (refs && common && lo && hi && groups) {
-        for (int32_t i = 0; i < nperm; i++)
-            refs[i] = (table_ref){lt->perms + i * volume, volume};
-        qsort(refs, (size_t)nperm, sizeof *refs, compare_tables);
-        for (int32_t i = 0; i + 1 < nperm; i++) {
-            int64_t p = 0;
-            while (p < volume && refs[i].row[p] == refs[i + 1].row[p])
-                p++;
-            common[i] = p;
-        }
-        lo[0] = 0;
-        hi[0] = nperm;
-        groups[0].start = 0;
-        lt->moves = 0;
-        for (int32_t g = 0; g < n; g++) {
-            int64_t split = volume;
-            for (int32_t i = lo[g]; i + 1 < hi[g]; i++)
-                if (common[i] < split)
-                    split = common[i];
-            groups[g].split = (int32_t)split;
-            groups[g].table = refs[lo[g]].row;
-            groups[g].kid = n;
-            for (int32_t i = lo[g], a = lo[g]; split < volume && i < hi[g]; i++) {
-                if (i + 1 == hi[g] || common[i] == split) {
-                    lo[n] = a;
-                    hi[n] = a = i + 1;
-                    groups[n++].start = (int32_t)split;
-                }
-            }
-            groups[g].nkids = n - groups[g].kid;
-            lt->moves += split - groups[g].start;
-        }
-        /* the live moves of a group leave its pointer at distinct
-         * positions from its start to below its split, so it has at most
-         * split - start of them; group 0 takes one more entry at the start */
-        lt->moves += 1;
-        lt->ngroups = n;
-        rc = 0;
-    }
-    free(refs);
-    free(common);
-    free(lo);
-    free(hi);
-    return rc;
-}
+    int64_t moves;         /* most trail entries live at once (see load_plan) */
+} lex_plan;
 
 typedef struct {           /* a group that moved on: a trail and bucket entry */
     int32_t group, old;    /* the group and its old pointer */
@@ -234,7 +157,7 @@ typedef struct {           /* the lex-leader test's state in one search */
 /* Advance the groups waiting on vertex v, and the subgroups of each group
  * that compares equal up to its split.  Returns 0 when a permuted coloring
  * is less, which prunes v; undo_moves() then takes back the moves so far. */
-static int advance_groups(const lex_tables *lt, lex_state *st, const int8_t *colors, int64_t v)
+static int advance_groups(const lex_plan *lp, lex_state *st, const int8_t *colors, int64_t v)
 {
     int32_t ntodo = 0;
     st->mark[v] = st->top;
@@ -242,9 +165,8 @@ static int advance_groups(const lex_tables *lt, lex_state *st, const int8_t *col
         st->todo[ntodo++] = st->trail[k].group;
     while (ntodo > 0) {
         int32_t g = st->todo[--ntodo];
-        const lex_group *grp = &lt->groups[g];
-        const int32_t *table = grp->table;
-        int64_t end = grp->split, stop = end <= v ? end : v + 1, p = st->ptr[g], u = 0, w;
+        const uint8_t *table = lp->table[g];
+        int64_t end = lp->split[g], stop = end <= v ? end : v + 1, p = st->ptr[g], u = 0, w;
         while (p < stop && (u = table[p]) <= v && colors[u] == colors[p])
             p++;
         if (p < stop) {
@@ -258,8 +180,8 @@ static int advance_groups(const lex_tables *lt, lex_state *st, const int8_t *col
             u = table[p];
             w = p > u ? p : u;
         } else {           /* equal up to the split: the subgroups take over */
-            for (int32_t i = 0; i < grp->nkids; i++)
-                st->todo[ntodo++] = grp->kid + i;
+            for (int32_t i = 0; i < lp->nkids[g]; i++)
+                st->todo[ntodo++] = lp->kid[g] + i;
             continue;
         }
         st->trail[st->top] = (lex_move){g, st->ptr[g], st->head[w]};
@@ -270,11 +192,11 @@ static int advance_groups(const lex_tables *lt, lex_state *st, const int8_t *col
 }
 
 /* Take back the moves made when vertex v was colored, last first. */
-static void undo_moves(const lex_tables *lt, lex_state *st, int64_t v)
+static void undo_moves(const lex_plan *lp, lex_state *st, int64_t v)
 {
     while (st->top > st->mark[v]) {
         const lex_move *m = &st->trail[--st->top];
-        int64_t q = st->ptr[m->group], u = lt->groups[m->group].table[q];
+        int64_t q = st->ptr[m->group], u = lp->table[m->group][q];
         st->head[q > u ? q : u] = m->next;
         st->ptr[m->group] = m->old;
     }
@@ -283,7 +205,7 @@ static void undo_moves(const lex_tables *lt, lex_state *st, int64_t v)
 typedef struct {
     int num_bits;          /* host dimension N: vertices are 0..2^N-1 */
     target t[2];           /* the targets red and blue avoid: Q and P */
-    const lex_tables *lex; /* the permutation tables' groups, or NULL */
+    const lex_plan *lex;   /* the lex-leader plan, or NULL */
     int64_t max_nodes;
     double time_limit;     /* seconds; no deadline when <= 0 */
 } search_problem;
@@ -302,7 +224,7 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
                       int64_t *nodes_out)
 {
     scratch s;
-    const lex_tables *lex = pr->lex;
+    const lex_plan *lex = pr->lex;
     int tops[2][64], ntops[2] = {0, 0};
     int64_t volume = (int64_t)1 << pr->num_bits;
     int64_t count[2] = {0, 0}, nodes = 0, v = 0;
@@ -329,11 +251,11 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
          * position 0 for its first table, the least there; if the tables
          * differ at position 0, its subgroups take over at that vertex */
         for (int32_t g = 0; g < lex->ngroups; g++)
-            st->ptr[g] = lex->groups[g].start;
+            st->ptr[g] = lex->start[g];
         for (int64_t w = 0; w < volume; w++)
             st->head[w] = -1;
         st->trail[0] = (lex_move){0, 0, -1};
-        st->head[lex->groups[0].table[0]] = 0;
+        st->head[lex->table[0][0]] = 0;
         st->top = 1;
     }
     state[0] = 0;
@@ -386,7 +308,7 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
 static int search(const search_problem *pr, uint8_t *witness, int64_t *nodes)
 {
     size_t volume = (size_t)1 << pr->num_bits;
-    const lex_tables *lex = pr->lex;
+    const lex_plan *lex = pr->lex;
     int8_t *colors = malloc(volume), *state = malloc(volume);
     uint64_t *hosts[2] = {malloc(volume * sizeof **hosts), malloc(volume * sizeof **hosts)};
     lex_state st = {NULL, NULL, NULL, NULL, NULL, 0};
@@ -437,34 +359,6 @@ static uint64_t *as_masks(PyObject *seq, const char *what, Py_ssize_t *len)
     if (out != NULL)
         *len = n;
     return out;
-}
-
-/* Copy a sequence of ints in [0, limit) into out, which has room for want
- * of them; the sequence must hold exactly want items. */
-static int copy_indices(PyObject *seq, const char *what, int64_t limit,
-                        int32_t *out, Py_ssize_t want)
-{
-    PyObject *fast = PySequence_Fast(seq, what);
-    if (fast == NULL)
-        return -1;
-    int rc = 0;
-    if (PySequence_Fast_GET_SIZE(fast) != want) {
-        PyErr_Format(PyExc_ValueError, "%s: expected %zd entries", what, want);
-        rc = -1;
-    }
-    for (Py_ssize_t i = 0; rc == 0 && i < want; i++) {
-        long long x = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
-        if (x == -1 && PyErr_Occurred()) {
-            rc = -1;
-        } else if (x < 0 || x >= limit) {
-            PyErr_Format(PyExc_ValueError, "%s: entry %lld out of range", what, x);
-            rc = -1;
-        } else {
-            out[i] = (int32_t)x;
-        }
-    }
-    Py_DECREF(fast);
-    return rc;
 }
 
 /* Fill t from the below and above masks, copied into arrays[0] and arrays[1],
@@ -544,74 +438,112 @@ done:
     return result;
 }
 
-static void free_lex_tables(lex_tables *lt)
+/* The lex-leader plan's columns and tables, read in place. */
+typedef struct {
+    Py_buffer views[4];    /* start, split, kid, nkids */
+    int nviews;
+    PyObject *tables;      /* the plan's tables, as a fast sequence */
+    lex_plan lex;
+} plan_view;
+
+static void release_plan(plan_view *pv)
 {
-    free(lt->perms);
-    free(lt->groups);
-    *lt = (lex_tables){0};
+    for (int i = 0; i < pv->nviews; i++)
+        PyBuffer_Release(&pv->views[i]);
+    Py_XDECREF(pv->tables);
+    free(pv->lex.table);
 }
 
-/* Copy the nperm >= 1 tables of volume indices each into lt, and group
- * them; on failure lt holds what the caller frees. */
-static int load_tables(PyObject *tables, Py_ssize_t nperm, int64_t volume, lex_tables *lt)
+static int bad_plan(const char *why)
 {
-    if (nperm > INT32_MAX / 2 || nperm > PY_SSIZE_T_MAX / volume) {
-        PyErr_SetString(PyExc_ValueError, "perm_tables: too many tables");
+    PyErr_Format(PyExc_ValueError, "lex plan: %s", why);
+    return -1;
+}
+
+/* Point pv->lex at the columns and tables of a LexPlan tuple (start, split,
+ * kid, nkids, table), and check every entry the search indexes: 0 <= start
+ * <= split <= 2^N, each group's kids follow it and the kids of the groups
+ * before it, and start where it splits, and the table entries from start to
+ * split, and entry 0 of group 0's table, lie below 2^N.  The caller
+ * releases pv, also on failure. */
+static int load_plan(PyObject *plan, int64_t volume, plan_view *pv)
+{
+    lex_plan *lp = &pv->lex;
+    const int32_t **cols[4] = {&lp->start, &lp->split, &lp->kid, &lp->nkids};
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 5) {
+        PyErr_SetString(PyExc_TypeError, "lex plan must be a LexPlan or None");
         return -1;
     }
-    lt->volume = volume;
-    lt->perms = malloc((size_t)(nperm * volume) * sizeof *lt->perms);
-    if (lt->perms == NULL) {
+    for (int i = 0; i < 4; i++) {
+        Py_buffer *view = &pv->views[i];
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(plan, i), view, PyBUF_FORMAT | PyBUF_ND) < 0)
+            return -1;
+        pv->nviews++;
+        if (strcmp(view->format, "i") != 0 || view->itemsize != sizeof(int32_t)
+                || view->len != pv->views[0].len)
+            return bad_plan("columns must be array('i') of one length");
+        *cols[i] = view->buf;
+    }
+    Py_ssize_t n = pv->views[0].len / (Py_ssize_t)sizeof(int32_t);
+    pv->tables = PySequence_Fast(PyTuple_GET_ITEM(plan, 4), "lex plan tables must be a sequence");
+    if (pv->tables == NULL)
+        return -1;
+    if (n < 1 || n > INT32_MAX || PySequence_Fast_GET_SIZE(pv->tables) != n)
+        return bad_plan("needs one table per group");
+    lp->ngroups = (int32_t)n;
+    lp->table = malloc((size_t)n * sizeof *lp->table);
+    if (lp->table == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    for (Py_ssize_t i = 0; i < nperm; i++) {
-        PyObject *table = PySequence_GetItem(tables, i);
-        int rc = table == NULL ? -1
-                 : copy_indices(table, "perm_tables", volume, lt->perms + i * volume, volume);
-        Py_XDECREF(table);
-        if (rc < 0)
-            return -1;
+    /* the live moves of a group leave its pointer at distinct positions
+     * from its start to below its split, so it has at most split - start
+     * of them; group 0 takes one more entry at the start */
+    lp->moves = 1;
+    int64_t next = 1;      /* the first group that no kid span holds yet */
+    for (int32_t g = 0; g < n; g++) {
+        int64_t start = lp->start[g], split = lp->split[g], kid = lp->kid[g], nkids = lp->nkids[g];
+        PyObject *table = PySequence_Fast_GET_ITEM(pv->tables, g);
+        if (!PyBytes_Check(table) || PyBytes_GET_SIZE(table) != volume)
+            return bad_plan("tables must be bytes of length 2^num_bits");
+        lp->table[g] = (const uint8_t *)PyBytes_AS_STRING(table);
+        if (start < 0 || start > split || split > volume || (g == 0 && start != 0))
+            return bad_plan("group 0 must start at 0, and start <= split <= 2^num_bits");
+        if (nkids < 0 || (nkids > 0 && (kid != next || kid <= g || kid + nkids > n)))
+            return bad_plan("kid spans must follow their parents in order");
+        for (int64_t k = kid; k < kid + nkids; k++)
+            if (lp->start[k] != split)
+                return bad_plan("kids must start at their parent's split");
+        for (int64_t p = start; p < split; p++)
+            if (lp->table[g][p] >= volume)
+                return bad_plan("table entry past 2^num_bits");
+        next += nkids;
+        lp->moves += split - start;
     }
-    if (build_groups(lt, (int32_t)nperm) < 0) {
+    /* group 0 first waits on the vertex that decides its position 0 */
+    if (lp->table[0][0] >= volume)
+        return bad_plan("table entry past 2^num_bits");
+    if (lp->moves > PY_SSIZE_T_MAX / (int64_t)sizeof(lex_move)) {
         PyErr_NoMemory();
         return -1;
     }
     return 0;
 }
 
-/* Per dimension, the groups of the last tuple of bytes tables, and a
- * reference to it: neither can change, so a search given the same object
- * again skips the copy and the build. */
-static struct {
-    PyObject *tables;
-    lex_tables lex;
-} cached[31];
-
-static int frozen_tables(PyObject *tables)
-{
-    if (!PyTuple_CheckExact(tables))
-        return 0;
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(tables); i++)
-        if (!PyBytes_CheckExact(PyTuple_GET_ITEM(tables, i)))
-            return 0;
-    return 1;
-}
-
 PyDoc_STRVAR(witness_search_doc,
 "witness_search($module, /, num_bits, p_below, p_above, q_below, q_above,\n"
-"               max_nodes, time_limit, perm_tables)\n"
+"               max_nodes, time_limit, lex_plan)\n"
 "--\n\n"
 "Exhaustive coloring search: (status, witness bits, nodes visited).");
 
 static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"num_bits", "p_below", "p_above", "q_below", "q_above",
-                             "max_nodes", "time_limit", "perm_tables", NULL};
-    PyObject *p_below, *p_above, *q_below, *q_above, *tables;
+                             "max_nodes", "time_limit", "lex_plan", NULL};
+    PyObject *p_below, *p_above, *q_below, *q_above, *plan;
     PyObject *result = NULL;
     uint64_t *arrays[2][2] = {{NULL, NULL}, {NULL, NULL}};
-    lex_tables fresh = {0};
+    plan_view pv = {0};
     uint8_t *witness = NULL;
     search_problem pr;
     long long max_nodes;
@@ -619,10 +551,10 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
     (void)self;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOLdO", kwlist, &pr.num_bits,
                                      &p_below, &p_above, &q_below, &q_above, &max_nodes,
-                                     &pr.time_limit, &tables))
+                                     &pr.time_limit, &plan))
         return NULL;
     pr.max_nodes = max_nodes;
-    /* vertices and table entries are int32 */
+    /* vertices are int32 */
     if (pr.num_bits < 0 || pr.num_bits > 30) {
         PyErr_SetString(PyExc_ValueError, "num_bits must lie in 0..30");
         return NULL;
@@ -631,28 +563,16 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
     if (as_target(q_below, q_above, &pr.t[0], arrays[0]) < 0
             || as_target(p_below, p_above, &pr.t[1], arrays[1]) < 0)
         goto done;
-    Py_ssize_t nperm = PySequence_Size(tables);
-    if (nperm < 0)
-        goto done;
+    pr.lex = NULL;
+    if (plan != Py_None) {
+        if (load_plan(plan, volume, &pv) < 0)
+            goto done;
+        pr.lex = &pv.lex;
+    }
     witness = calloc((size_t)(volume + 7) / 8, 1);
     if (witness == NULL) {
         PyErr_NoMemory();
         goto done;
-    }
-    pr.lex = NULL;
-    if (nperm > 0 && tables == cached[pr.num_bits].tables) {
-        pr.lex = &cached[pr.num_bits].lex;
-    } else if (nperm > 0) {
-        if (load_tables(tables, nperm, volume, &fresh) < 0)
-            goto done;
-        pr.lex = &fresh;
-        if (frozen_tables(tables)) {
-            free_lex_tables(&cached[pr.num_bits].lex);
-            Py_XSETREF(cached[pr.num_bits].tables, Py_NewRef(tables));
-            cached[pr.num_bits].lex = fresh;
-            fresh = (lex_tables){0};
-            pr.lex = &cached[pr.num_bits].lex;
-        }
     }
     int status = search(&pr, witness, &nodes);
     if (status < 0) {
@@ -669,7 +589,7 @@ done:
     free(arrays[0][1]);
     free(arrays[1][0]);
     free(arrays[1][1]);
-    free_lex_tables(&fresh);
+    release_plan(&pv);
     free(witness);
     return result;
 }

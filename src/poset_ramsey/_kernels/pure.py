@@ -43,12 +43,12 @@ outside v's down-set, so the color class below v does not decide it.
 
 Symmetry breaking in ``witness_search`` is an incremental lex-leader test
 (Crawford, Ginsberg, Luks & Roy, KR 1996) over a prefix tree of the
-permutation tables, built once per tables object by ``lex_groups``.  A
-group is a run of the sorted tables that agree on every position before
-its split, the first position where its members differ, so they make the
-same comparisons up to there and advance as one.  Each group keeps a
-pointer: the positions before it compare equal under the current partial
-coloring.  A group waits in the bucket of the vertex that decides its next
+permutation tables: the plan that ``lex_groups`` builds once in Python,
+which both twins read as it is.  A group is a run of the sorted tables
+that agree on every position before its split, the first position where
+its members differ, so they make the same comparisons up to there and
+advance as one.  Each group keeps a pointer: the positions before it
+compare equal under the current partial coloring.  A group waits in the bucket of the vertex that decides its next
 position; coloring that vertex advances it, retires it once the permuted
 coloring is strictly greater, or prunes the node when it is strictly less.
 A group whose pointer reaches its split hands over to its subgroups, which
@@ -64,8 +64,8 @@ they moved on themselves.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 BACKEND_NAME = "pure-python"
@@ -241,61 +241,50 @@ def find_induced_copy(
     return result
 
 
-class LexGroups(NamedTuple):
+class LexPlan(NamedTuple):
     """Permutation tables as a prefix tree of groups (see the module docstring).
 
-    ``order`` lists the table indices in ascending table order.  Group g
-    holds the tables ``order[lo[g]:hi[g]]``, which agree on every position
-    before ``split[g]``; ``table[g]`` is the least of them.  Group 0 holds
-    every table and starts at position 0.  The groups ``kids[g]`` part g's
-    tables by their entries from ``split[g]`` on and start there; a leaf's
-    split is the table length, so its tables are equal, and it has no kids.
+    Group g holds tables that agree on every position before ``split[g]``;
+    ``table[g]`` is the least of them.  Group 0 holds every table and starts
+    at position 0.  The groups ``kid[g]`` to ``kid[g] + nkids[g] - 1`` part
+    g's tables by their entries from ``split[g]`` on and start there; a
+    leaf's split is the table length, so its tables are equal, and it has no
+    kids.  The first four columns are ``array('i')`` and the tables are the
+    ``bytes`` objects passed in, so the compiled twin reads all of it in
+    place.
     """
 
-    order: list[int]
-    lo: list[int]
-    hi: list[int]
-    start: list[int]
-    split: list[int]
-    kids: list[Sequence[int]]
-    table: list[Sequence[int]]
+    start: array
+    split: array
+    kid: array
+    nkids: array
+    table: tuple[bytes, ...]
 
 
-def lex_groups(perm_tables: Sequence[Sequence[int]]) -> LexGroups:
-    """Group nonempty equal-length ``perm_tables`` by their shared prefixes."""
+def lex_groups(perm_tables: Sequence[bytes]) -> LexPlan:
+    """Group nonempty equal-length ``bytes`` tables by their shared prefixes."""
     volume = len(perm_tables[0])
-    width = max(1, ((volume - 1).bit_length() + 7) // 8)
-    # big-endian keys of width bytes an entry sort as the tables do
-    if width == 1:
-        keys = [bytes(table) for table in perm_tables]
-    else:
-        keys = [b"".join(x.to_bytes(width, "big") for x in table) for table in perm_tables]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    # common[i]: the first position where the tables order[i] and
-    # order[i + 1] differ, read off the highest bit of their keys' XOR
-    nbits = 8 * len(keys[0])
-    ints = [int.from_bytes(keys[i], "big") for i in order]
-    common = [(nbits - (a ^ b).bit_length()) // (8 * width) for a, b in zip(ints, ints[1:])]
-    lo, hi, start, split, kids = [0], [len(order)], [0], [], []
+    tables = sorted(perm_tables)
+    # common[i]: the first position where tables i and i + 1 differ, read
+    # off the highest bit of their XOR as big-endian integers
+    ints = [int.from_bytes(table, "big") for table in tables]
+    common = [(8 * volume - (a ^ b).bit_length()) // 8 for a, b in zip(ints, ints[1:])]
+    lo, hi = [0], [len(tables)]
+    start, split, kid, nkids = array("i", [0]), array("i"), array("i"), array("i")
     g = 0
     while g < len(lo):
         a, b = lo[g], hi[g]
         s = min(common[a:b - 1], default=volume)
         split.append(s)
-        first = len(lo)
+        kid.append(len(lo))
         if s < volume:
             bounds = [a, *(i + 1 for i in range(a, b - 1) if common[i] == s), b]
             lo += bounds[:-1]
             hi += bounds[1:]
-            start += [s] * (len(bounds) - 1)
-        kids.append(range(first, len(lo)) if s < volume else ())
+            start.extend([s] * (len(bounds) - 1))
+        nkids.append(len(lo) - kid[g])
         g += 1
-    return LexGroups(order, lo, hi, start, split, kids, [perm_tables[order[a]] for a in lo])
-
-
-#: Groups of the tables objects passed lately; unhashable tables may change
-#: between calls, so they are grouped afresh each time.
-_cached_lex_groups = lru_cache(maxsize=8)(lex_groups)
+    return LexPlan(start, split, kid, nkids, tuple(tables[a] for a in lo))
 
 
 def witness_search(
@@ -306,7 +295,7 @@ def witness_search(
     q_above: Sequence[int],
     max_nodes: int,
     time_limit: float,
-    perm_tables: Sequence[Sequence[int]],
+    lex_plan: LexPlan | None,
 ) -> tuple[int, int, int]:
     """Exhaustive coloring search: (status, witness bits, nodes visited).
 
@@ -314,10 +303,11 @@ def witness_search(
     first witness reached is the least color string.  Blue must avoid the
     target P and red the target Q, both nonempty.  On coloring a vertex,
     only copies whose image of a maximal element is that vertex are checked
-    (every newly completed copy has its largest mask there).  Non-empty
-    ``perm_tables`` (vertex relabelings from ground-set permutations, each a
-    permutation of the vertices) restrict the search to colorings that are
-    least within their orbit's explored prefix.  The search is a loop over
+    (every newly completed copy has its largest mask there).  A ``lex_plan``
+    (the groups of vertex relabelings from ground-set permutations, each a
+    permutation of the vertices, as ``lex_groups`` builds them) restricts
+    the search to colorings that are least within their orbit's explored
+    prefix; None searches every coloring.  The search is a loop over
     an explicit stack of per-vertex states, so its depth is not bounded by
     the interpreter's recursion limit.
     """
@@ -352,14 +342,10 @@ def witness_search(
         images[0] = anchor
         return _first_embedding(plan, [(0, universe)], window_rows, images, 1)
 
-    nperm = len(perm_tables)
-    if nperm:
-        try:
-            groups = _cached_lex_groups(perm_tables)
-        except TypeError:  # unhashable, so not cached
-            groups = lex_groups(perm_tables)
-        g_table, g_split, g_kids = groups.table, groups.split, groups.kids
-        ptr = list(groups.start)
+    symmetric = lex_plan is not None
+    if symmetric:
+        g_start, g_split, g_kid, g_nkids, g_table = lex_plan
+        ptr = list(g_start)
         # buckets[w]: the groups whose next undecided position is decided
         # by vertex w; moved[w]: (group, old pointer) for each group that
         # moved on when w was colored, flattened, in order
@@ -383,7 +369,7 @@ def witness_search(
         if c >= 0:  # back at a colored vertex: uncolor it, undo its moves
             masks[c] ^= 1 << v
             colors[v] = -1
-            if nperm:
+            if symmetric:
                 trail = moved[v]
                 while trail:
                     p = trail.pop()
@@ -430,7 +416,7 @@ def witness_search(
                 ok = memo[key] = not has_copy(checks[c][0], key | 1 << v, v)
             if not ok:
                 continue
-        if nperm:
+        if symmetric:
             # advance the groups waiting on v; a permuted coloring that is
             # less prunes v, and the loop's head undoes the moves so far.
             # The bucket doubles as the pass's work list: the subgroups of a
@@ -463,10 +449,11 @@ def witness_search(
                     u = table[p]
                     w = p if p > u else u
                 else:  # equal up to the split: the subgroups take over
-                    if end < volume:
+                    if g_nkids[g]:
                         if not cut:
                             cut = len(bucket)
-                        bucket += g_kids[g]
+                        k = g_kid[g]
+                        bucket += range(k, k + g_nkids[g])
                     continue
                 ptr[g] = p
                 buckets[w].append(g)

@@ -99,10 +99,6 @@ def ground_permutation_tables(num_bits: int) -> tuple[bytes, ...]:
     The battery is closed under inversion, so the orientation of each table
     is immaterial to the lex-least pruning test.  The tables are built once
     per process and dimension; under the cap the cache stays below 90 KB.
-    Each kernel twin sorts a tuple of tables into a prefix tree of groups
-    once and keeps it: 1,235 groups for the 719 tables at dimension 6, and
-    1,487 in all under the cap, which take about 165 KB more in the pure
-    twin.
     """
     if num_bits > MAX_SYMMETRY_DIMENSION:
         raise ValueError(
@@ -119,6 +115,20 @@ def ground_permutation_tables(num_bits: int) -> tuple[bytes, ...]:
             table[v] = table[v ^ low] | 1 << perm[low.bit_length() - 1]
         tables.append(bytes(table))
     return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def lex_plan(num_bits: int) -> _kernels.LexPlan | None:
+    """The lex-leader plan of ``ground_permutation_tables(num_bits)``, or None
+    when the dimension has no non-identity permutation.
+
+    Built once in Python per process and dimension, and read as it is by
+    either kernel twin: 1,235 groups for the 719 tables at dimension 6, and
+    1,487 in all under the cap.  The plan shares the tables' ``bytes``
+    objects, so it adds about 30 KB at dimension 6 and 38 KB in all.
+    """
+    tables = ground_permutation_tables(num_bits)
+    return _kernels.lex_groups(tables) if tables else None
 
 
 def _find_witness_counted(
@@ -139,9 +149,9 @@ def _find_witness_counted(
     p_below, p_above = _relation_arrays(p)
     _kernels.check_word_width(1 << n, "lattice target")
     q = make_boolean_poset(n)
-    tables = ground_permutation_tables(N) if symmetry else ()
+    plan = lex_plan(N) if symmetry else None
     status, bits, nodes = _kernels.witness_search(
-        N, p_below, p_above, q.down, q.up, budget.max_nodes, budget.time_limit or 0.0, tables
+        N, p_below, p_above, q.down, q.up, budget.max_nodes, budget.time_limit or 0.0, plan
     )
     if status == _kernels.STATUS_BUDGET:
         raise SearchBudgetExceeded("nodes", nodes)

@@ -14,6 +14,9 @@ import os
 import random
 import subprocess
 import sys
+from array import array
+from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from poset_ramsey.posets import (
     make_complete_multipartite,
     make_spindle,
 )
-from poset_ramsey.search import ground_permutation_tables
+from poset_ramsey.search import ground_permutation_tables, lex_plan
 
 from conftest import brute_first_witness, brute_has_copy_in_masks, brute_is_witness, random_poset
 
@@ -42,8 +45,8 @@ def _relations(p):
 def _search_args(p, n, N, symmetry=False, max_nodes=1 << 30, time_limit=0.0):
     p_below, p_above = _relations(p)
     q_below, q_above = _relations(make_boolean_poset(n))
-    tables = ground_permutation_tables(N) if symmetry else []
-    return N, p_below, p_above, q_below, q_above, max_nodes, time_limit, tables
+    plan = lex_plan(N) if symmetry else None
+    return N, p_below, p_above, q_below, q_above, max_nodes, time_limit, plan
 
 
 # ------------------------------------------------------- find_induced_copy
@@ -294,6 +297,16 @@ def test_witness_search_frozen_node_counts(kernel_backends):
             assert [status for status, _, _ in got] == [STATUS_FOUND] * (len(per_dim) - 1) + [STATUS_NONE]
             assert [nodes for _, _, nodes in got] == per_dim
 
+        # symmetric searches that close at N = 6, where groups split past
+        # position 8; a budgeted search would read the same whatever it pruned
+        for p, n, nodes in [
+            (make_antichain(3), 2, 312),
+            (make_spindle((1, 2, 1)), 2, 1168),
+            (make_complete_multipartite((2, 2)), 2, 326_494),
+        ]:
+            got = backend.witness_search(*_search_args(p, n, 6, symmetry=True))
+            assert got == (STATUS_NONE, 0, nodes)
+
 
 def test_witness_search_deeper_than_recursion_limit(kernel_backends):
     """A search 2^N vertices deep runs under a recursion limit far below 2^N.
@@ -364,6 +377,7 @@ def test_symmetry_tables_do_not_change_results(kernel_backends):
             assert pruned[2] <= plain[2]
 
 
+@lru_cache(maxsize=None)
 def _vertex_tables(num_bits):
     """Every non-identity ground-set permutation's vertex table, built here
     without ``ground_permutation_tables``, which stops at dimension 6."""
@@ -379,44 +393,73 @@ def _vertex_tables(num_bits):
 
 
 def test_witness_search_twins_agree_at_dimension_7(compiled_kernels):
-    """Both twins group the 5,039 tables at N = 7 and prune alike, though
-    the search layer caps symmetry at dimension 6."""
+    """Both twins read the plan of the 5,039 tables at N = 7 and prune
+    alike, though the search layer caps symmetry at dimension 6."""
     assert _vertex_tables(6) == ground_permutation_tables(6)
     tables = _vertex_tables(7)
     assert len(tables) == 5039
+    plan = pure.lex_groups(tables)
     for p in (make_chain(5), make_complete_multipartite((2, 2))):
-        args = _search_args(p, 3, 7, max_nodes=20_000)[:7] + (tables,)
+        args = _search_args(p, 3, 7, max_nodes=20_000)[:7] + (plan,)
         result = pure.witness_search(*args)
         assert result == compiled_kernels.witness_search(*args)
         assert result == (STATUS_BUDGET, 0, 20_001)
 
 
+def _random_tables(rng, num_bits, count, fixed=0):
+    """Random vertex permutations that fix the vertices below ``fixed``.
+    With none fixed they move vertex 0 and so part the tables at position
+    0 already."""
+    volume = 1 << num_bits
+    rest = range(fixed, volume)
+    return tuple(bytes(range(fixed)) + bytes(rng.sample(rest, len(rest))) for _ in range(count))
+
+
+def _assert_prefix_tree(tables):
+    """``lex_groups(tables)`` is a prefix tree of the tables; returns its
+    group count."""
+    plan = pure.lex_groups(tables)
+    volume = len(tables[0])
+    n = len(plan.start)
+    assert all(col.typecode == "i" and len(col) == n for col in plan[:4])
+    assert len(plan.table) == n and plan.start[0] == 0
+    # the tables are the ones passed in, not copies
+    assert {id(t) for t in plan.table} <= {id(t) for t in tables}
+    # the kid spans follow their parents and, in order, tile groups 1..n-1
+    spans = [range(plan.kid[g], plan.kid[g] + plan.nkids[g]) for g in range(n)]
+    assert [k for span in spans for k in span] == list(range(1, n))
+    assert all(span.start > g for g, span in enumerate(spans) if span)
+    # members[g]: g's tables, gathered from the leaves up
+    count = Counter(tables)
+    members = [[] for _ in range(n)]
+    for g in reversed(range(n)):
+        split = plan.split[g]
+        if not spans[g]:
+            assert split == volume
+            members[g] = [plan.table[g]] * count[plan.table[g]]
+        else:
+            # the subgroups part the members in table order, start at the
+            # split, and differ from each other there
+            members[g] = [t for k in spans[g] for t in members[k]]
+            assert all(plan.start[k] == split for k in spans[g])
+            heads = [plan.table[k][split] for k in spans[g]]
+            assert heads == sorted(set(heads)) and len(heads) > 1
+        assert plan.table[g] == min(members[g])
+        # the members agree on every position before the split
+        assert all(t[:split] == members[g][0][:split] for t in members[g])
+    # every table lies in exactly one leaf
+    assert sorted(members[0]) == sorted(tables)
+    return n
+
+
 def test_lex_groups_form_a_prefix_tree():
+    rng = random.Random(3)
     for N in range(2, 7):
-        tables = ground_permutation_tables(N)
-        volume = 1 << N
-        groups = pure.lex_groups(tables)
-        assert sorted(groups.order) == list(range(len(tables)))
-        assert (groups.lo[0], groups.hi[0], groups.start[0]) == (0, len(tables), 0)
-        in_leaves = []
-        for g, split in enumerate(groups.split):
-            members = [tables[i] for i in groups.order[groups.lo[g]:groups.hi[g]]]
-            assert groups.table[g] == min(members)
-            # the members agree on every position before the split
-            assert all(t[:split] == members[0][:split] for t in members)
-            kids = groups.kids[g]
-            if not kids:
-                assert split == volume
-                in_leaves += groups.order[groups.lo[g]:groups.hi[g]]
-                continue
-            # the subgroups part the members, start at the split, and
-            # differ from each other there
-            assert [groups.lo[k] for k in kids] == [groups.lo[g]] + [groups.hi[k] for k in kids[:-1]]
-            assert groups.hi[kids[-1]] == groups.hi[g]
-            assert all(groups.start[k] == split for k in kids)
-            assert len({groups.table[k][split] for k in kids}) == len(kids) > 1
-        # every table lies in exactly one leaf
-        assert sorted(in_leaves) == list(range(len(tables)))
+        _assert_prefix_tree(ground_permutation_tables(N))
+    for N in (3, 5):
+        _assert_prefix_tree(_random_tables(rng, N, 12))
+    _assert_prefix_tree(_random_tables(rng, 5, 12, fixed=9))
+    assert _assert_prefix_tree(_vertex_tables(7)) == 8658
 
 
 def _rescan_search(p, q, num_bits, tables):
@@ -457,31 +500,49 @@ def _rescan_search(p, q, num_bits, tables):
 
 
 def test_lex_leader_matches_a_rescan_of_every_table(kernel_backends):
-    """Grouping the tables changes no pruning decision.  At N = 3 both
-    twins give the result of a search that rescans every table at every
-    node: on the ground-set tables, and on random vertex permutations, which
-    move vertex 0 and so part the tables at position 0 already."""
+    """Grouping the tables changes no pruning decision.  Both twins give the
+    result of a search that rescans every table at every node: on the
+    ground-set tables and on random vertex permutations, at N = 3, and at
+    N = 5, where tables have 32 positions.  The ground-set tables split at
+    vertices 1, 2, 4 and 8 only, so random ones that fix vertices 0..8 make
+    groups split past position 8; there, a group that decides one position
+    more from its least table alone is caught by antichain 3 vs Q_2."""
     rng = random.Random(7)
-    randoms = tuple(bytes(rng.sample(range(8), 8)) for _ in range(12))
+    randoms = _random_tables(rng, 3, 12)
     assert len({table[0] for table in randoms}) > 1
-    cases = [
+    spread = _random_tables(rng, 5, 12)
+    late = _random_tables(rng, 5, 12, fixed=9)
+    assert pure.lex_groups(late).split[0] > 8
+    small = [
         (make_chain(2), 1), (make_chain(3), 1), (make_antichain(2), 1),
         (make_antichain(3), 1), (make_complete_multipartite((1, 2)), 1),
     ]
+    wide = [
+        (make_antichain(3), 2), (make_antichain(4), 1),
+        (make_complete_multipartite((1, 2)), 2), (make_chain(3), 2),
+    ]
+    cases = [(3, tables, small) for tables in (ground_permutation_tables(3), randoms, randoms[:2])]
+    cases += [(5, ground_permutation_tables(5), wide),
+              (5, spread, [(make_antichain(3), 2)]),
+              (5, late, [(make_antichain(3), 2)])]
     pruned = 0
-    for tables in (ground_permutation_tables(3), randoms, randoms[:2]):
-        for p, n in cases:
+    for N, tables, targets in cases:
+        plan = pure.lex_groups(tables)
+        for p, n in targets:
             q = make_boolean_poset(n)
-            want = _rescan_search(p, q, 3, tables)
-            pruned += want != _rescan_search(p, q, 3, ())
-            args = _search_args(p, n, 3)[:7] + (tables,)
+            want = _rescan_search(p, q, N, tables)
+            assert want[0] == STATUS_NONE or N == 3
+            pruned += want != _rescan_search(p, q, N, ())
+            args = _search_args(p, n, N)[:7] + (plan,)
             for backend in kernel_backends.values():
                 assert backend.witness_search(*args) == want
     # the tables prune somewhere, so the comparison means something
-    assert pruned >= 10
+    assert pruned >= 19
 
 
 def test_table_order_does_not_change_searches(kernel_backends):
+    """Plans of shuffled tables, in a tuple or a list, give the same search
+    in both twins."""
     rng = random.Random(5)
     cases = [
         (make_chain(4), 2, 5),
@@ -491,28 +552,14 @@ def test_table_order_does_not_change_searches(kernel_backends):
     ]
     for p, n, N in cases:
         args = _search_args(p, n, N, symmetry=True)
-        shuffled = list(args[7])
+        shuffled = list(ground_permutation_tables(N))
         rng.shuffle(shuffled)
-        for backend in kernel_backends.values():
-            want = backend.witness_search(*args)
-            for tables in (tuple(shuffled), shuffled):
-                assert backend.witness_search(*args[:7], tables) == want
-
-
-def test_tables_in_a_list_are_grouped_afresh(kernel_backends):
-    """The twins keep the groups of a tables tuple; a list may change
-    between calls, so its groups are built each time."""
-    args = _search_args(make_chain(4), 2, 5, symmetry=True)
-    full, part = args[7], args[7][:30]
-    for backend in kernel_backends.values():
-        want_full = backend.witness_search(*args)
-        want_part = backend.witness_search(*args[:7], part)
-        assert want_full[2] < want_part[2]
-        tables = list(full)
-        assert backend.witness_search(*args[:7], tables) == want_full
-        tables[:] = part
-        assert backend.witness_search(*args[:7], tables) == want_part
-        assert backend.witness_search(*args) == want_full
+        want = pure.witness_search(*args)
+        for tables in (tuple(shuffled), shuffled):
+            plan = pure.lex_groups(tables)
+            assert plan == args[7]
+            for backend in kernel_backends.values():
+                assert backend.witness_search(*args[:7], plan) == want
 
 
 def test_pure_search_touches_only_the_vertices_it_reaches():
@@ -550,20 +597,50 @@ def test_compiled_rejects_malformed_arguments(compiled_kernels):
     ]:
         with pytest.raises(error):
             find(*args)
-    good = _search_args(make_chain(2), 1, 2, symmetry=True)
-    for index, value in [
-        (0, 31),                                      # num_bits past int32 vertices
-        (7, [bytes(range(3))]),                       # table shorter than 2^N
-        (7, [bytes([0, 1, 2, 4])]),                   # table entry past 2^N
-    ]:
-        args = list(good)
-        args[index] = value
+    good = _search_args(make_chain(2), 1, 3, symmetry=True)
+    plan = good[7]
+    # at N = 3, group 0 splits at position 1 into groups 1..3, and groups
+    # 4 and 5 part group 2 at position 2
+    assert (plan.split[0], plan.kid[0], plan.nkids[0]) == (1, 1, 3)
+    assert (plan.split[2], plan.kid[2], plan.nkids[2]) == (2, 4, 2)
+    last = len(plan.start) - 1
+
+    def column(name, index, value, base=plan):
+        col = array("i", getattr(base, name))
+        col[index] = value
+        return base._replace(**{name: col})
+
+    def table(index, value):
+        return plan._replace(table=plan.table[:index] + (value,) + plan.table[index + 1:])
+
+    hostile = [
+        table(0, b"\x08" + plan.table[0][1:]),            # byte past 2^N at group 0's start
+        table(last, plan.table[last][:7] + b"\x08"),      # byte past 2^N before a leaf's split
+        table(1, plan.table[1][:7]),                      # table shorter than 2^N
+        table(1, plan.table[1] + b"\x00"),                # table longer than 2^N
+        table(1, bytearray(plan.table[1])),               # table not bytes
+        column("split", 2, 0),                            # split before start
+        column("split", last, 9),                         # split past 2^N
+        column("nkids", 1, len(plan.start)),              # kid span past the group count
+        column("kid", 2, 2, column("nkids", 0, 1)),       # kid span not after its parent
+        column("kid", 2, 3),                              # kid span overlapping another
+        column("start", 2, 2),                            # kid start != parent's split
+        column("start", 0, 1),                            # group 0 not starting at 0
+        plan._replace(start=list(plan.start)),            # column not a buffer
+        plan._replace(kid=array("q", plan.kid)),          # column of 64-bit ints
+        plan._replace(nkids=plan.nkids[:-1]),             # columns of unequal length
+        plan._replace(table=5),                           # tables not a sequence
+        plan._replace(table=plan.table[:-1]),             # one table short
+        plan[:4],                                         # no tables
+        ground_permutation_tables(3),                     # tables, not a plan
+    ]
+    for value in [31, 1]:                                 # past int32 vertices; another N
         with pytest.raises(ValueError):
-            compiled_kernels.witness_search(*args)
-    # the groups of a tables tuple are kept, but not for another dimension
+            compiled_kernels.witness_search(value, *good[1:])
+    for value in hostile:
+        with pytest.raises((ValueError, TypeError)):
+            compiled_kernels.witness_search(*good[:7], value)
     assert compiled_kernels.witness_search(*good) == pure.witness_search(*good)
-    with pytest.raises(ValueError):
-        compiled_kernels.witness_search(1, *good[1:])
 
 
 def test_twins_share_parameter_names(compiled_kernels):

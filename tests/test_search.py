@@ -14,6 +14,7 @@ from poset_ramsey.search import (
     find_colored_copy,
     find_witness,
     ground_permutation_tables,
+    lex_plan,
     ramsey_exact,
     verify_witness,
 )
@@ -230,6 +231,17 @@ def test_ground_permutation_tables_are_permutations():
 def test_ground_permutation_tables_built_once():
     for N in (0, 3, 6):
         assert ground_permutation_tables(N) is ground_permutation_tables(N)
+
+
+def test_lex_plan_built_once_per_dimension():
+    # no non-identity permutation below dimension 2, so no plan
+    assert lex_plan(0) is None and lex_plan(1) is None
+    for N in (3, 6):
+        plan = lex_plan(N)
+        assert plan is lex_plan(N)
+        # the plan shares the cached tables rather than copying them
+        ids = {id(table) for table in ground_permutation_tables(N)}
+        assert all(id(table) in ids for table in plan.table)
 
 
 def test_ground_permutation_tables_cap():
