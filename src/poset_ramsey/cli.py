@@ -290,15 +290,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     n = args.n
     if args.spindle is not None:
         r, s, t = args.spindle
-        if s >= 2 and s * s > n:
-            _warn_asymptotics("middle layer is large next to n (log s/log n > 1/2)")
         data = _spindle_report_json(bounds.spindle_bound_report(n, r, s, t))
         text = _spindle_report_text(data)
+        if s >= 2 and s * s > n:
+            _warn_asymptotics("middle layer is large next to n (log s/log n > 1/2)")
     elif args.multipartite is not None:
         layers = args.multipartite
+        report = bounds.multipartite_bound_report(n, layers)
         if (1 << len(layers)) > n:
             _warn_asymptotics("more layers than log n")
-        report = bounds.multipartite_bound_report(n, layers)
         data = {
             "n": report.n,
             "layer_sizes": list(report.layer_sizes),
@@ -356,7 +356,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if result.status == "exact":
         text = str(result.value)
     elif result.status == "lower_bound":
-        text = f"no verdict up to {n_max}: value is at least {result.lower_bound}"
+        # the scanned ceiling, which symmetry may hold below n_max
+        text = f"no verdict up to {result.lower_bound - 1}: value is at least {result.lower_bound}"
     else:
         text = (f"budget exhausted at dimension {result.inconclusive_at}; "
                 f"value is at least {result.lower_bound}")
@@ -404,7 +405,7 @@ def _spindle_or_cover(family: extract.ChainFamily, shape: tuple[int, ...],
     _, masks = extract.class_induced_poset(cls)
     return json.dumps({
         "kind": "chain_cover",
-        "ground": {"n": split.n, "k": split.k},
+        "ground": extract.ground_to_json_dict(split),
         "chains": [[masks[e] for e in chain] for chain in outcome.chains],
         "class_size": len(cls.members),
         "note": (
@@ -417,7 +418,7 @@ def _spindle_or_cover(family: extract.ChainFamily, shape: tuple[int, ...],
 def _cmd_extract(args: argparse.Namespace) -> int:
     split = GroundSplit(args.n, args.k)
     coloring = _load_coloring(args, split)
-    ground = {"n": split.n, "k": split.k}
+    ground = extract.ground_to_json_dict(split)
 
     if args.what == "chain":
         order = args.ordering if args.ordering is not None else tuple(split.y_positions())

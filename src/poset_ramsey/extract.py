@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from poset_ramsey import _kernels
 from poset_ramsey.errors import InvariantViolation
@@ -520,71 +520,15 @@ def check_witness(cert: WitnessCert, coloring: Coloring) -> list[str]:
     ]
 
 
-def verify_certificate(cert: Certificate, coloring: Coloring) -> list[str]:
-    """Problems list from the checker matching the certificate type."""
-    if isinstance(cert, BlueChainCert):
-        return check_blue_chain(cert, coloring)
-    if isinstance(cert, RedQnCert):
-        return check_red_qn(cert, coloring)
-    if isinstance(cert, SpindleCert):
-        return check_spindle(cert, coloring)
-    if isinstance(cert, WitnessCert):
-        return check_witness(cert, coloring)
-    raise TypeError(f"not a certificate: {type(cert).__name__}")
-
-
 # ---------------------------------------------------------------------------
-# JSON round trip
+# Certificate kinds: one JSON encoder and decoder each, and the table of kinds
 
 
-def certificate_to_json_dict(cert: Certificate) -> dict:
-    if isinstance(cert, BlueChainCert):
-        return {
-            "kind": "blue_chain",
-            "ground": {"n": cert.split.n, "k": cert.split.k},
-            "ordering": list(cert.ordering.order),
-            "vertices": list(cert.vertices),
-        }
-    if isinstance(cert, RedQnCert):
-        return {
-            "kind": "red_qn",
-            "ground": {"n": cert.split.n, "k": cert.split.k},
-            "target_dimension": cert.dimension,
-            "images": list(cert.images),
-        }
-    if isinstance(cert, SpindleCert):
-        return {
-            "kind": "spindle",
-            "ground": {"n": cert.split.n, "k": cert.split.k},
-            "shape": {"r": cert.shape.r, "s": cert.shape.s, "t": cert.shape.t},
-            "lower": list(cert.lower),
-            "middle": list(cert.middle),
-            "upper": list(cert.upper),
-        }
-    if isinstance(cert, WitnessCert):
-        return {
-            "kind": "witness",
-            "dim": cert.dim,
-            "target_dimension": cert.target_dimension,
-            "target": poset_to_json_dict(cert.target),
-        }
-    raise TypeError(f"not a certificate: {type(cert).__name__}")
+def ground_to_json_dict(split: GroundSplit) -> dict:
+    return {"n": split.n, "k": split.k}
 
 
-def _require(data: dict, key: str, kind: str) -> object:
-    if key not in data:
-        raise ValueError(f"{kind} certificate is missing {key!r}")
-    return data[key]
-
-
-def _int_list(value: object, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
-        raise ValueError(f"{what} must be a list of integers")
-    return tuple(value)
-
-
-def _ground(data: dict, kind: str) -> GroundSplit:
-    raw = _require(data, "ground", kind)
+def ground_from_json_dict(raw: object) -> GroundSplit:
     if not isinstance(raw, dict):
         raise ValueError("ground must be an object with n and k")
     n, k = raw.get("n"), raw.get("k")
@@ -593,56 +537,139 @@ def _ground(data: dict, kind: str) -> GroundSplit:
     return GroundSplit(n, k)
 
 
+def _require(data: dict, key: str, kind: str) -> object:
+    if key not in data:
+        raise ValueError(f"{kind} certificate is missing {key!r}")
+    return data[key]
+
+
+def _int_list(data: dict, key: str, kind: str) -> tuple[int, ...]:
+    value = _require(data, key, kind)
+    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
+        raise ValueError(f"{key} must be a list of integers")
+    return tuple(value)
+
+
+def _blue_chain_to_json(cert: BlueChainCert) -> dict:
+    return {
+        "ground": ground_to_json_dict(cert.split),
+        "ordering": list(cert.ordering.order),
+        "vertices": list(cert.vertices),
+    }
+
+
+def _blue_chain_from_json(data: dict, kind: str) -> BlueChainCert:
+    g = ground_from_json_dict(_require(data, "ground", kind))
+    ordering = YOrdering(g, _int_list(data, "ordering", kind))
+    return BlueChainCert(split=g, ordering=ordering, vertices=_int_list(data, "vertices", kind))
+
+
+def _red_qn_to_json(cert: RedQnCert) -> dict:
+    return {
+        "ground": ground_to_json_dict(cert.split),
+        "target_dimension": cert.dimension,
+        "images": list(cert.images),
+    }
+
+
+def _red_qn_from_json(data: dict, kind: str) -> RedQnCert:
+    g = ground_from_json_dict(_require(data, "ground", kind))
+    dim = _require(data, "target_dimension", kind)
+    if not is_json_int(dim) or dim < 0:
+        raise ValueError("target_dimension must be a nonnegative integer")
+    return RedQnCert(split=g, dimension=dim, images=_int_list(data, "images", kind))
+
+
+def _spindle_to_json(cert: SpindleCert) -> dict:
+    return {
+        "ground": ground_to_json_dict(cert.split),
+        "shape": {"r": cert.shape.r, "s": cert.shape.s, "t": cert.shape.t},
+        "lower": list(cert.lower),
+        "middle": list(cert.middle),
+        "upper": list(cert.upper),
+    }
+
+
+def _spindle_from_json(data: dict, kind: str) -> SpindleCert:
+    g = ground_from_json_dict(_require(data, "ground", kind))
+    raw_shape = _require(data, "shape", kind)
+    if not isinstance(raw_shape, dict) or not all(
+        is_json_int(raw_shape.get(f)) for f in ("r", "s", "t")
+    ):
+        raise ValueError("shape must carry integer r, s, t")
+    shape = SpindleSpec(raw_shape["r"], raw_shape["s"], raw_shape["t"])
+    lower, middle, upper = (_int_list(data, key, kind) for key in ("lower", "middle", "upper"))
+    return SpindleCert(split=g, shape=shape, lower=lower, middle=middle, upper=upper)
+
+
+def _witness_to_json(cert: WitnessCert) -> dict:
+    return {
+        "dim": cert.dim,
+        "target_dimension": cert.target_dimension,
+        "target": poset_to_json_dict(cert.target),
+    }
+
+
+def _witness_from_json(data: dict, kind: str) -> WitnessCert:
+    dim = _require(data, "dim", kind)
+    target_dim = _require(data, "target_dimension", kind)
+    if not is_json_int(dim) or dim < 0:
+        raise ValueError("dim must be a nonnegative integer")
+    if not is_json_int(target_dim) or target_dim < 0:
+        raise ValueError("target_dimension must be a nonnegative integer")
+    target = poset_from_json_dict(_require(data, "target", kind))
+    return WitnessCert(dim=dim, target_dimension=target_dim, target=target)
+
+
+class CertificateKind(NamedTuple):
+    """A kind's class, checker, and JSON form without the ``kind`` key; the
+    decoder takes the kind name for its error messages."""
+
+    cls: type
+    check: Callable[[Any, Coloring], list[str]]
+    encode: Callable[[Any], dict]
+    decode: Callable[[dict, str], Certificate]
+
+
+#: Every certificate kind, keyed by its JSON ``kind`` name.  A new kind is a
+#: class, a checker, an encoder/decoder pair and one entry here.
+CERTIFICATE_KINDS: dict[str, CertificateKind] = {
+    "blue_chain": CertificateKind(BlueChainCert, check_blue_chain,
+                                  _blue_chain_to_json, _blue_chain_from_json),
+    "red_qn": CertificateKind(RedQnCert, check_red_qn, _red_qn_to_json, _red_qn_from_json),
+    "spindle": CertificateKind(SpindleCert, check_spindle, _spindle_to_json, _spindle_from_json),
+    "witness": CertificateKind(WitnessCert, check_witness, _witness_to_json, _witness_from_json),
+}
+
+_KIND_NAMES = {kind.cls: name for name, kind in CERTIFICATE_KINDS.items()}
+
+
+def _kind_name(cert: object) -> str:
+    name = _KIND_NAMES.get(type(cert))
+    if name is None:
+        raise TypeError(f"not a certificate: {type(cert).__name__}")
+    return name
+
+
+def verify_certificate(cert: Certificate, coloring: Coloring) -> list[str]:
+    """Problems list from the checker matching the certificate type."""
+    return CERTIFICATE_KINDS[_kind_name(cert)].check(cert, coloring)
+
+
+def certificate_to_json_dict(cert: Certificate) -> dict:
+    name = _kind_name(cert)
+    return {"kind": name, **CERTIFICATE_KINDS[name].encode(cert)}
+
+
 def certificate_from_json_dict(data: object) -> Certificate:
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
     kind = data.get("kind")
-    if kind == "blue_chain":
-        g = _ground(data, kind)
-        ordering = YOrdering(g, _int_list(_require(data, "ordering", kind), "ordering"))
-        return BlueChainCert(
-            split=g,
-            ordering=ordering,
-            vertices=_int_list(_require(data, "vertices", kind), "vertices"),
-        )
-    if kind == "red_qn":
-        g = _ground(data, kind)
-        dim = _require(data, "target_dimension", kind)
-        if not is_json_int(dim) or dim < 0:
-            raise ValueError("target_dimension must be a nonnegative integer")
-        return RedQnCert(
-            split=g,
-            dimension=dim,
-            images=_int_list(_require(data, "images", kind), "images"),
-        )
-    if kind == "spindle":
-        g = _ground(data, kind)
-        raw_shape = _require(data, "shape", kind)
-        if not isinstance(raw_shape, dict) or not all(
-            is_json_int(raw_shape.get(f)) for f in ("r", "s", "t")
-        ):
-            raise ValueError("shape must carry integer r, s, t")
-        shape = SpindleSpec(raw_shape["r"], raw_shape["s"], raw_shape["t"])
-        return SpindleCert(
-            split=g,
-            shape=shape,
-            lower=_int_list(_require(data, "lower", kind), "lower"),
-            middle=_int_list(_require(data, "middle", kind), "middle"),
-            upper=_int_list(_require(data, "upper", kind), "upper"),
-        )
-    if kind == "witness":
-        dim = _require(data, "dim", kind)
-        target_dim = _require(data, "target_dimension", kind)
-        if not is_json_int(dim) or dim < 0:
-            raise ValueError("dim must be a nonnegative integer")
-        if not is_json_int(target_dim) or target_dim < 0:
-            raise ValueError("target_dimension must be a nonnegative integer")
-        return WitnessCert(
-            dim=dim,
-            target_dimension=target_dim,
-            target=poset_from_json_dict(_require(data, "target", kind)),
-        )
-    raise ValueError(f"unknown certificate kind: {kind!r}")
+    # a JSON list or object is unhashable, and unknown like any other value
+    entry = CERTIFICATE_KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ValueError(f"unknown certificate kind: {kind!r}")
+    return entry.decode(data, kind)
 
 
 def certificate_to_json(cert: Certificate) -> str:

@@ -143,13 +143,6 @@ def _pack_bits(vertices: Iterable[int], vertex_count: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def coloring_from_blue_set(dim: int, blue: Sequence[int]) -> Coloring:
-    for v in blue:
-        if v < 0 or v >> dim:
-            raise ValueError(f"vertex {v} outside the lattice")
-    return Coloring(dim, _pack_bits(blue, 1 << dim))
-
-
 def layered_coloring(split: GroundSplit, blue_sizes: Sequence[int]) -> Coloring:
     """Blue exactly the vertices whose popcount is in ``blue_sizes``."""
     total = split.total

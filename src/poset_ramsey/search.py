@@ -213,10 +213,15 @@ def ramsey_exact(
     """Scan N = n, n+1, ..., n_max for the least witness-free dimension.
 
     Witnesses found along the way are re-verified before being stored, so an
-    "exact" result carries a complete certificate trail.
+    "exact" result carries a complete certificate trail.  With ``symmetry``
+    the scan stops at ``MAX_SYMMETRY_DIMENSION`` (or at n, when larger); a
+    "lower_bound" result's ``lower_bound - 1`` is the last dimension scanned.
     """
     if n_max < n:
         raise ValueError("scan ceiling must be at least n")
+    if symmetry:
+        # never below n: the search at n still refuses an n past the caps
+        n_max = min(n_max, max(n, MAX_SYMMETRY_DIMENSION))
     budget = budget or SearchBudget()
     witnesses: dict[int, Coloring] = {}
     total_nodes = 0

@@ -119,6 +119,17 @@ def test_exact_lower_bound_text(capsys):
                    "exact", "--antichain", "3", "--n", "1", "--nmax", "3")
 
 
+def test_exact_symmetry_reports_the_scanned_ceiling(capsys):
+    # R(C_2, Q_6) = 7, past the symmetry cap: the witness at N = 6 is kept
+    code, out, _ = _run(capsys, "exact", "--chain", "2", "--n", "6", "--symmetry")
+    assert code == 0
+    assert out == "no verdict up to 6: value is at least 7\n"
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "exact", "--chain", "2", "--n", "7", "--symmetry")
+    assert info.value.code == 2
+    assert "lattice target posets are capped" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ witness
 
 
@@ -281,7 +292,18 @@ def test_bound_scan_cap_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         _run(capsys, "bound", "--spindle", f"0,{1 << 40},1", "--n", "2")
     assert info.value.code == 2
-    assert "bound scan exceeded" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bound scan exceeded" in err and "warning" not in err
+
+
+@pytest.mark.parametrize("shape", [("--spindle", "0,2,0"), ("--multipartite", "1,1")],
+                         ids=" ".join)
+def test_bound_refusal_prints_no_warning(capsys, shape):
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "bound", *shape, "--n", "0")
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "dimension must be positive" in err and "warning" not in err
 
 
 @pytest.mark.parametrize("family", [("--chain", "3"), ("--antichain", "5")], ids=" ".join)

@@ -8,6 +8,7 @@ import functools
 import operator
 import random
 import time
+import typing
 from fractions import Fraction
 from itertools import product
 
@@ -757,7 +758,15 @@ def _sample_certs():
 
 
 def test_certificate_json_round_trip():
-    for cert in _sample_certs():
+    samples = _sample_certs()
+    # a kind added to the table without a sample here fails
+    assert sorted(certificate_to_json_dict(c)["kind"] for c in samples) == sorted(
+        extract.CERTIFICATE_KINDS
+    )
+    assert set(typing.get_args(extract.Certificate)) == {
+        kind.cls for kind in extract.CERTIFICATE_KINDS.values()
+    }
+    for cert in samples:
         again = certificate_from_json(certificate_to_json(cert))
         assert again == cert
 
@@ -779,6 +788,25 @@ def test_certificate_json_rejects_junk():
              "target_dimension": True, "images": [0, 1]})
     with pytest.raises(ValueError, match="unknown certificate kind"):
         certificate_from_json_dict({"kind": "contradiction"})
+    with pytest.raises(ValueError, match=r"unknown certificate kind: \['blue_chain'\]"):
+        certificate_from_json_dict({"kind": ["blue_chain"]})
+    ground = {"n": 1, "k": 1}
+    missing = [
+        ({"kind": "blue_chain", "ground": ground, "ordering": [1]},
+         "blue_chain certificate is missing 'vertices'"),
+        ({"kind": "red_qn", "ground": ground, "target_dimension": 1},
+         "red_qn certificate is missing 'images'"),
+        ({"kind": "spindle", "ground": ground, "shape": {"r": 0, "s": 1, "t": 0},
+          "lower": [], "upper": []},
+         "spindle certificate is missing 'middle'"),
+        ({"kind": "witness", "dim": 2, "target_dimension": 1},
+         "witness certificate is missing 'target'"),
+    ]
+    assert sorted(data["kind"] for data, _ in missing) == sorted(extract.CERTIFICATE_KINDS)
+    for data, message in missing:
+        with pytest.raises(ValueError) as info:
+            certificate_from_json_dict(data)
+        assert str(info.value) == message
 
 
 def test_verify_certificate_dispatch():
@@ -788,6 +816,8 @@ def test_verify_certificate_dispatch():
     assert verify_certificate(cert, c) == []
     with pytest.raises(TypeError):
         verify_certificate("not a certificate", c)
+    with pytest.raises(TypeError, match="not a certificate: str"):
+        certificate_to_json_dict("not a certificate")
 
 
 def test_check_witness_delegates_to_search():

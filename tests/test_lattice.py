@@ -15,7 +15,6 @@ from poset_ramsey.lattice import (
     GroundSplit,
     YOrdering,
     all_orderings,
-    coloring_from_blue_set,
     coloring_from_text,
     coloring_to_text,
     layered_coloring,
@@ -137,25 +136,6 @@ def _bit_loop(vertices) -> int:
     for v in vertices:
         bits |= 1 << v
     return bits
-
-
-def test_coloring_from_blue_set():
-    c = coloring_from_blue_set(2, [0, 3])
-    assert c.bits == 0b1001
-    with pytest.raises(ValueError):
-        coloring_from_blue_set(1, [2])
-    with pytest.raises(ValueError):
-        coloring_from_blue_set(2, [-1])
-    assert coloring_from_blue_set(0, []).bits == 0
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10).flatmap(
-    lambda dim: st.tuples(st.just(dim), st.lists(st.integers(0, (1 << dim) - 1)))
-))
-def test_coloring_from_blue_set_matches_bit_loop(case):
-    dim, blue = case  # repeats included
-    assert coloring_from_blue_set(dim, blue).bits == _bit_loop(blue)
 
 
 def test_layered_coloring_by_popcount():

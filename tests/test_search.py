@@ -206,6 +206,15 @@ def test_ramsey_exact_symmetry_same_answers_and_witnesses():
         assert plain.witnesses == pruned.witnesses
 
 
+def test_ramsey_exact_symmetry_scan_stops_at_the_cap():
+    # R(C_2, Q_6) = 7: the scan used to search N = 6, then refuse N = 7
+    r = ramsey_exact(make_chain(2), 6, 9, symmetry=True)
+    assert (r.status, r.lower_bound, sorted(r.witnesses)) == ("lower_bound", 7, [6])
+    assert r.witnesses == ramsey_exact(make_chain(2), 6, 6).witnesses
+    with pytest.raises(ValueError, match="lattice target posets are capped"):
+        ramsey_exact(make_chain(2), 7, 9, symmetry=True)
+
+
 # ---------------------------------------------------------------- helpers
 
 
