@@ -12,22 +12,22 @@ and red copies in a colored lattice, copies between explicit posets, poset
 isomorphism and the spindle certificate check all go through it.
 
 ``witness_search`` treats its two colors alike: it takes the blue target P
-and the red target Q as plain relation masks, finds each one's maximal
-elements itself, and checks each newly colored vertex for copies that map
-a maximal element onto it.  That rules out every copy, so a full coloring
-needs no further check; ``search`` still re-verifies every witness.  Both
-twins make one such check per class of twin maximal elements, those with
-equal below masks: an automorphism swaps two twins, so their checks agree.
+and the red target Q as plain relation masks, each with an anchor mask,
+and checks each newly colored vertex for copies that map an anchor onto
+it.  Both twins take the masks from the search layer, which picks them
+once in Python (``search.anchor_mask``) so that these checks rule out
+every copy; a full coloring needs no further check, and ``search`` still
+re-verifies every witness.
 
 The two twins agree output for output, node counts included, but not in
 method.  The pure twin takes the candidates of a target element as one
 bitset: the AND, over the elements assigned before it, of the above, below
 or apart row of their images; it tries them lowest bit first, which is the
 compiled twin's ascending host order.  The pure ``witness_search`` also
-memoizes the check for a copy topped at the vertex just colored, when the
-target has a single maximal element, keyed by the color class inside that
-vertex's down-set; the compiled twin searches afresh every time, with the
-same answers.
+memoizes the check for a copy anchored at the vertex just colored, when
+the target's one anchor lies above every other element, keyed by the color
+class inside that vertex's down-set; the compiled twin searches afresh
+every time, with the same answers.
 
 The lex-leader test is one design in both twins, and its plan is built
 once in Python and read by both.  ``lex_groups`` sorts the permutation
@@ -36,9 +36,9 @@ columns and each group's least table as ``bytes``: the members of a group
 agree on every position before its split, so they advance as one pointer
 up to there, and its subgroups take over from the split.  The search layer
 builds one plan per dimension and passes it, or None, as
-``witness_search``'s last argument; neither twin groups, copies or caches
-the tables.  A moved group is undone on backtrack from a trail that holds
-its old pointer.  Both twins prune the same nodes.
+``witness_search``'s ``lex_plan`` argument; neither twin groups, copies or
+caches the tables.  A moved group is undone on backtrack from a trail that
+holds its old pointer.  Both twins prune the same nodes.
 """
 
 from __future__ import annotations

@@ -9,17 +9,15 @@
  * target has at most 64 elements.
  *
  * As in the pure twin, red and blue share one path, indexed by color c:
- * t[c] is the target that color c avoids (red Q, blue P).  Also as in the
- * pure twin, a newly colored vertex gets one anchored check per class of
- * twin maximal elements (maximal elements with equal below masks, which an
- * automorphism swaps), anchored at the least element of the class.  The
- * lex-leader test is the pure twin's too, on the plan that pure.lex_groups
- * builds once in Python: the sorted tables as a prefix tree of groups,
- * whose columns and tables the glue reads in place.  Each group keeps a
- * pointer, waits in the bucket of the vertex that decides its next
- * position, and is undone from a trail.  Here the buckets are linked lists
- * threaded through the trail, which works as a stack because moves are
- * undone last first.
+ * t[c] is the target that color c avoids (red Q, blue P), and a newly
+ * colored vertex gets one anchored check per set bit of anchors[c], the
+ * mask that search.anchor_mask picks once in Python.  The lex-leader test
+ * is the pure twin's too, on the plan that pure.lex_groups builds once in
+ * Python: the sorted tables as a prefix tree of groups, whose columns and
+ * tables the glue reads in place.  Each group keeps a pointer, waits in the
+ * bucket of the vertex that decides its next position, and is undone from a
+ * trail.  Here the buckets are linked lists threaded through the trail,
+ * which works as a stack because moves are undone last first.
  *
  * The method differs from the pure twin's in the embedding search:
  * find_copy scans the hosts in ascending order for each target element,
@@ -206,6 +204,7 @@ static void undo_moves(const lex_plan *lp, lex_state *st, int64_t v)
 typedef struct {
     int num_bits;          /* host dimension N: vertices are 0..2^N-1 */
     target t[2];           /* the targets red and blue avoid: Q and P */
+    uint64_t anchors[2];   /* the elements of t[c] that checks anchor at */
     const lex_plan *lex;   /* the lex-leader plan, or NULL */
     int64_t max_nodes;
     double time_limit;     /* seconds; no deadline when <= 0 */
@@ -226,27 +225,10 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
 {
     scratch s;
     const lex_plan *lex = pr->lex;
-    int tops[2][64], ntops[2] = {0, 0};
     int64_t volume = (int64_t)1 << pr->num_bits;
     int64_t count[2] = {0, 0}, nodes = 0, v = 0;
     double deadline = pr->time_limit > 0 ? monotonic_seconds() + pr->time_limit : 0.0;
     int status = STATUS_NONE;
-    /* the maximal elements of each target, the least of each class of
-     * twins: every copy has its largest image at a maximal element, and
-     * twins give one answer, so checking these at each vertex leaves no
-     * copy for a leaf to find */
-    for (int c = 0; c < 2; c++) {
-        const target *t = &pr->t[c];
-        for (int e = 0; e < t->m; e++) {
-            int i = 0;
-            if (t->above[e] != 0)
-                continue;
-            while (i < ntops[c] && t->below[tops[c][i]] != t->below[e])
-                i++;
-            if (i == ntops[c])
-                tops[c][ntops[c]++] = e;
-        }
-    }
     if (lex) {
         /* group 0 holds every table and waits on the vertex that decides
          * position 0 for its first table, the least there; if the tables
@@ -281,8 +263,9 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
         }
         colors[v] = (int8_t)c;
         hosts[c][count[c]++] = (uint64_t)v;
-        for (int i = 0; i < ntops[c] && ok; i++)
-            ok = !find_copy(&pr->t[c], hosts[c], count[c], tops[c][i], (uint64_t)v, &s);
+        for (int e = 0; e < pr->t[c].m && ok; e++)
+            if ((pr->anchors[c] >> e) & 1)
+                ok = !find_copy(&pr->t[c], hosts[c], count[c], e, (uint64_t)v, &s);
         if (ok && lex && !advance_groups(lex, st, colors, v)) {
             undo_moves(lex, st, v);
             ok = 0;
@@ -532,16 +515,17 @@ static int load_plan(PyObject *plan, int64_t volume, plan_view *pv)
 }
 
 PyDoc_STRVAR(witness_search_doc,
-"witness_search($module, /, num_bits, p_below, p_above, q_below, q_above,\n"
-"               max_nodes, time_limit, lex_plan)\n"
+"witness_search($module, /, num_bits, p_below, p_above, p_anchors, q_below,\n"
+"               q_above, q_anchors, lex_plan, max_nodes, time_limit)\n"
 "--\n\n"
 "Exhaustive coloring search: (status, witness bits, nodes visited).");
 
 static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"num_bits", "p_below", "p_above", "q_below", "q_above",
-                             "max_nodes", "time_limit", "lex_plan", NULL};
-    PyObject *p_below, *p_above, *q_below, *q_above, *plan;
+    static char *kwlist[] = {"num_bits", "p_below", "p_above", "p_anchors", "q_below",
+                             "q_above", "q_anchors", "lex_plan", "max_nodes", "time_limit",
+                             NULL};
+    PyObject *p_below, *p_above, *p_anchors, *q_below, *q_above, *q_anchors, *plan;
     PyObject *result = NULL;
     uint64_t *arrays[2][2] = {{NULL, NULL}, {NULL, NULL}};
     plan_view pv = {0};
@@ -550,9 +534,9 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
     long long max_nodes;
     int64_t nodes = 0;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOLdO", kwlist, &pr.num_bits,
-                                     &p_below, &p_above, &q_below, &q_above, &max_nodes,
-                                     &pr.time_limit, &plan))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOOOOOOLd", kwlist, &pr.num_bits,
+                                     &p_below, &p_above, &p_anchors, &q_below, &q_above,
+                                     &q_anchors, &plan, &max_nodes, &pr.time_limit))
         return NULL;
     pr.max_nodes = max_nodes;
     /* vertices are int32 */
@@ -564,6 +548,16 @@ static PyObject *py_witness_search(PyObject *self, PyObject *args, PyObject *kwa
     if (as_target(q_below, q_above, &pr.t[0], arrays[0]) < 0
             || as_target(p_below, p_above, &pr.t[1], arrays[1]) < 0)
         goto done;
+    PyObject *anchors[2] = {q_anchors, p_anchors};
+    for (int c = 0; c < 2; c++) {
+        pr.anchors[c] = PyLong_AsUnsignedLongLong(anchors[c]);
+        if (pr.anchors[c] == (uint64_t)-1 && PyErr_Occurred())
+            goto done;
+        if (pr.t[c].m < 64 && pr.anchors[c] >> pr.t[c].m) {
+            PyErr_SetString(PyExc_ValueError, "anchor mask has a bit past its target");
+            goto done;
+        }
+    }
     pr.lex = NULL;
     if (plan != Py_None) {
         if (load_plan(plan, volume, &pv) < 0)

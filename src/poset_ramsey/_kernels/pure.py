@@ -22,43 +22,38 @@ integer and a vertex's row is built once per search, when the search first
 reaches that vertex.
 
 The two colors go through one path: red avoids Q_n and blue avoids P, and
-each is a plain target.  When ``witness_search`` colors vertex v, it checks
-for copies of that color's target whose image of a maximal element is v
-(an element with an empty above-mask).  Every copy has its numerically
-largest image at a maximal element, and every other image is colored by
-then, so these anchored checks rule out every copy and a leaf needs no
-further check.  Maximal elements with equal below-masks are twins: swapping
-two of them is an automorphism of the target, so their anchored checks give
-one answer, and one check is made per class of twins, anchored at its least
-element.  The top layer of a complete multipartite target is one class.
-When the target has a single maximal element, that element lies above
-every other, so every other image lies below v and the answer depends only
-on the color class inside v's down-set.  That set alone is the key of a
+each is a plain target with an anchor mask.  When ``witness_search`` colors
+vertex v, it checks for copies of that color's target whose image of an
+anchor is v; the search layer picks the anchors (``search.anchor_mask``)
+so that these checks rule out every copy, and a leaf needs no further
+check.  When a target has one anchor and it lies above every other
+element, every other image lies below v and the answer depends only on
+the color class inside v's down-set.  That set alone is the key of a
 per-search memo for the check: v is above every vertex in it, so vertices
 whose down-sets hold the same colored vertices share one entry.  A memo
-holds at most ``_MEMO_ENTRIES`` answers and is cleared when full.  A target
-with several maximal elements is checked afresh each time, even when they
-form one class of twins: a copy may then put a twin of the anchored element
-outside v's down-set, so the color class below v does not decide it.
+holds at most ``_MEMO_ENTRIES`` answers and is cleared when full.  Any
+other target is checked afresh each time: with twin maximal elements, a
+copy may put a twin of the anchor outside v's down-set, so the color
+class below v does not decide it.
 
 Symmetry breaking in ``witness_search`` is an incremental lex-leader test
 (Crawford, Ginsberg, Luks & Roy, KR 1996) over a prefix tree of the
 permutation tables: the plan that ``lex_groups`` builds once in Python,
-which both twins read as it is.  A group is a run of the sorted tables
-that agree on every position before its split, the first position where
-its members differ, so they make the same comparisons up to there and
-advance as one.  Each group keeps a pointer: the positions before it
-compare equal under the current partial coloring.  A group waits in the bucket of the vertex that decides its next
-position; coloring that vertex advances it, retires it once the permuted
-coloring is strictly greater, or prunes the node when it is strictly less.
-A group whose pointer reaches its split hands over to its subgroups, which
-advance from that position in the same pass.  The groups that moved on
-when a vertex was colored are its trail, each stored with its old pointer:
-on backtrack, or when the node is pruned, each is popped from its new
-bucket, last first, and its old pointer restored.  A group that retires or
-hands over keeps its pointer and is not trailed: it stays in the bucket it
-was taken from, and its subgroups stay at their starting positions unless
-they moved on themselves.
+which both twins read as it is.  A group is a run of the sorted tables that
+agree on every position before its split, the first position where its
+members differ, so they make the same comparisons up to there and advance
+as one.  Each group keeps a pointer: the positions before it compare equal
+under the current partial coloring.  A group waits in the bucket of the
+vertex that decides its next position; coloring that vertex advances it,
+retires it once the permuted coloring is strictly greater, or prunes the
+node when it is strictly less.  A group whose pointer reaches its split
+hands over to its subgroups, which advance from that position in the same
+pass.  The groups that moved on when a vertex was colored are its trail,
+each stored with its old pointer: on backtrack, or when the node is pruned,
+each is popped from its new bucket, last first, and its old pointer
+restored.  A group that retires or hands over keeps its pointer and is not
+trailed: it stays in the bucket it was taken from, and its subgroups stay
+at their starting positions unless they moved on themselves.
 """
 
 from __future__ import annotations
@@ -291,19 +286,21 @@ def witness_search(
     num_bits: int,
     p_below: Sequence[int],
     p_above: Sequence[int],
+    p_anchors: int,
     q_below: Sequence[int],
     q_above: Sequence[int],
+    q_anchors: int,
+    lex_plan: LexPlan | None,
     max_nodes: int,
     time_limit: float,
-    lex_plan: LexPlan | None,
 ) -> tuple[int, int, int]:
     """Exhaustive coloring search: (status, witness bits, nodes visited).
 
     Vertices are colored in ascending mask order, red before blue, so the
     first witness reached is the least color string.  Blue must avoid the
     target P and red the target Q, both nonempty.  On coloring a vertex,
-    only copies whose image of a maximal element is that vertex are checked
-    (every newly completed copy has its largest mask there).  A ``lex_plan``
+    only copies whose image of an anchor, a set bit of ``p_anchors`` or
+    ``q_anchors``, is that vertex are checked.  A ``lex_plan``
     (the groups of vertex relabelings from ground-set permutations, each a
     permutation of the vertices, as ``lex_groups`` builds them) restricts
     the search to colorings that are least within their orbit's explored
@@ -315,20 +312,18 @@ def witness_search(
     deadline = time.monotonic() + time_limit if time_limit > 0 else None
     images = [0] * max(len(p_below), len(q_below))
 
-    # checks[c]: the plans of the color-c copies topped at v, one per class
-    # of twin maximal elements of the color-c target (see the module
-    # docstring); memos[c]: their answers keyed by the color class below v
-    # when the target has one maximal element, else None
+    # checks[c]: the plans of the color-c copies anchored at v, one per
+    # anchor of the color-c target; memos[c]: their answers keyed by the
+    # color class below v when its one anchor lies above every other
+    # element (see the module docstring), else None
     checks = []
     memos = []
-    for below, above in ((q_below, q_above), (p_below, p_above)):
+    for below, above, anchors in ((q_below, q_above, q_anchors), (p_below, p_above, p_anchors)):
         m = len(below)
-        tops = [e for e in range(m) if not above[e]]
-        firsts = {}
-        for e in tops:
-            firsts.setdefault(below[e], e)
-        checks.append([_plan(below, above, _anchored_order(m, e)) for e in firsts.values()])
-        memos.append({} if len(tops) == 1 else None)
+        anchored = [e for e in range(m) if anchors >> e & 1]
+        checks.append([_plan(below, above, _anchored_order(m, e)) for e in anchored])
+        top = len(anchored) == 1 and below[anchored[0]] | 1 << anchored[0] == (1 << m) - 1
+        memos.append({} if top else None)
 
     # rows[g] = [apart, above, below, empty] over vertex masks, in a single
     # window; "apart" is a complement, so vertices not reached yet read as

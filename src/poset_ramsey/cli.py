@@ -14,6 +14,7 @@ import argparse
 import errno
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -417,6 +418,12 @@ def _spindle_or_cover(family: extract.ChainFamily, shape: tuple[int, ...],
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     split = GroundSplit(args.n, args.k)
+    orderings = math.factorial(split.k)
+    if args.what in ("family", "spindle") and orderings > extract.MAX_FAMILY_ORDERINGS:
+        raise ValueError(
+            f"--what {args.what} lists all k! = {orderings} orderings, "
+            f"past the cap of {extract.MAX_FAMILY_ORDERINGS}"
+        )
     coloring = _load_coloring(args, split)
     ground = extract.ground_to_json_dict(split)
 

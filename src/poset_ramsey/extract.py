@@ -18,6 +18,7 @@ alone:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -40,7 +41,7 @@ from poset_ramsey.posets import (
     poset_from_json_dict,
     poset_to_json_dict,
 )
-from poset_ramsey.search import verify_witness
+from poset_ramsey.search import too_tall, verify_witness
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,12 @@ def chain_or_red(
     return RedQnCert(split=g, dimension=g.n, images=images)
 
 
+#: Most Y-orderings a chain family may take: ``ramsey extract --what
+#: family|spindle`` lists all k! of them before any check, 1.6 GB at k = 9,
+#: so it refuses a larger k before building the list.
+MAX_FAMILY_ORDERINGS = math.factorial(9)
+
+
 def collect_chain_family(
     coloring: Coloring, g: GroundSplit, orderings: Sequence[YOrdering]
 ) -> ChainFamily | RedQnCert:
@@ -378,14 +385,16 @@ def classify_clear(
         raise ValueError("second poset must have a unique minimal element")
     # one host list for every anchored search: each is over the blue vertices
     blue = tuple(coloring.blue_vertices())
-    p1_clear = tuple(
-        _kernels.find_induced_copy(p1.down, p1.up, blue, p1_max[0], v) is None
-        for v in blue
-    )
-    p2_clear = tuple(
-        _kernels.find_induced_copy(p2.down, p2.up, blue, p2_min[0], v) is None
-        for v in blue
-    )
+
+    def clear_flags(p: Poset, anchor: int) -> tuple[bool, ...]:
+        if too_tall(p, coloring.dim):
+            return (True,) * len(blue)
+        return tuple(
+            _kernels.find_induced_copy(p.down, p.up, blue, anchor, v) is None for v in blue
+        )
+
+    p1_clear = clear_flags(p1, p1_max[0])
+    p2_clear = clear_flags(p2, p2_min[0])
     green = tuple(v for v, clear in zip(blue, p1_clear) if clear)
     green_set = set(green)
     yellow = tuple(

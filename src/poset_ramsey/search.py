@@ -61,10 +61,19 @@ def _colored_hosts(coloring: Coloring, color: Color) -> list[int]:
     raise ValueError(f"color must be 'blue' or 'red', not {color!r}")
 
 
+def too_tall(target: Poset, dim: int) -> bool:
+    """Whether the target's longest chain has more than dim + 1 elements,
+    the most a chain of the dimension-dim lattice has, so no copy fits."""
+    return max(target.heights, default=0) > dim
+
+
 def find_colored_copy(target: Poset, coloring: Coloring, color: Color) -> Embedding | None:
     """First induced copy of ``target`` among the vertices of one color."""
     below, above = _relation_arrays(target)
-    images = _kernels.find_induced_copy(below, above, _colored_hosts(coloring, color))
+    hosts = _colored_hosts(coloring, color)
+    if too_tall(target, coloring.dim):
+        return None
+    images = _kernels.find_induced_copy(below, above, hosts)
     return None if images is None else Embedding(tuple(images))
 
 
@@ -131,13 +140,33 @@ def lex_plan(num_bits: int) -> _kernels.LexPlan | None:
     return _kernels.lex_groups(tables) if tables else None
 
 
-def _find_witness_counted(
-    p: Poset,
-    n: int,
-    N: int,
-    symmetry: bool,
-    budget: SearchBudget,
-) -> tuple[Coloring | None, int]:
+def anchor_mask(target: Poset, num_bits: int) -> int:
+    """The elements a witness search anchors its copy checks at, as a bitmask.
+
+    When the search colors vertex v, it checks for copies of that color's
+    target whose image of an anchor is v.  Every copy has its largest image
+    at a maximal element, and every other image is colored by then, so
+    anchoring at the maximal elements rules out every copy and a leaf needs
+    no further check.  Maximal elements with equal down-sets are twins:
+    swapping two is an automorphism of the target, so their checks agree,
+    and the mask keeps the least of each class.  The top layer of
+    K_{t_1,...,t_l} is one class.  A target too tall for the host lattice
+    has no copy in it, so it gets no anchor at all.
+    """
+    if too_tall(target, num_bits):
+        return 0
+    firsts: dict[int, int] = {}
+    for e in target.maximal_elements():
+        firsts.setdefault(target.down[e], e)
+    return sum(1 << e for e in firsts.values())
+
+
+def witness_search_args(p: Poset, n: int, N: int, symmetry: bool) -> tuple:
+    """The kernel arguments of one witness search of p against Q_n in Q_N,
+    all but its budget: ``(N, p_below, p_above, p_anchors, q_below,
+    q_above, q_anchors, lex_plan)``.  Either twin's ``witness_search``
+    takes them, then ``max_nodes`` and ``time_limit``.
+    """
     if p.size == 0:
         raise ValueError("target poset must be nonempty")
     if n < 0 or N < 0:
@@ -150,8 +179,14 @@ def _find_witness_counted(
     _kernels.check_word_width(1 << n, "lattice target")
     q = make_boolean_poset(n)
     plan = lex_plan(N) if symmetry else None
+    return N, p_below, p_above, anchor_mask(p, N), q.down, q.up, anchor_mask(q, N), plan
+
+
+def _find_witness_counted(
+    p: Poset, n: int, N: int, symmetry: bool, budget: SearchBudget
+) -> tuple[Coloring | None, int]:
     status, bits, nodes = _kernels.witness_search(
-        N, p_below, p_above, q.down, q.up, budget.max_nodes, budget.time_limit or 0.0, plan
+        *witness_search_args(p, n, N, symmetry), budget.max_nodes, budget.time_limit or 0.0
     )
     if status == _kernels.STATUS_BUDGET:
         raise SearchBudgetExceeded("nodes", nodes)

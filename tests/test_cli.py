@@ -231,6 +231,61 @@ def test_poset_commands_accept_targets_at_the_relation_budget(tmp_path, capsys):
     assert poset_from_json(out_file.read_text()).size == 1024
     assert _run(capsys, "export-dot", "--spindle", "1,1022,1", "--out", str(out_file))[0] == 0
 
+# ------------------------------------------------- targets taller than Q_N
+
+
+@pytest.fixture
+def tall_target_kernels(monkeypatch):
+    """Kernels that fail any search for a copy of a 12-element target, or a
+    witness search that anchors a check on the blue target."""
+    find, witness_search = search._kernels.find_induced_copy, search._kernels.witness_search
+
+    def find_short(below, *args):
+        assert len(below) < 12, "searched Q_9 for a copy of a 12-element chain"
+        return find(below, *args)
+
+    def search_unanchored(*args):
+        assert args[3] == 0, "anchored a check for a chain too tall for the lattice"
+        return witness_search(*args)
+
+    monkeypatch.setattr(search._kernels, "find_induced_copy", find_short)
+    monkeypatch.setattr(search._kernels, "witness_search", search_unanchored)
+
+
+# C_12 has no copy in Q_9, whose chains have at most 10 elements; each of
+# these walked every chain below each vertex, for over 100 s.
+
+
+def test_witness_for_a_target_taller_than_the_lattice(tall_target_kernels, capsys):
+    code, out, _ = _run(capsys, "witness", "--chain", "12", "--n", "0", "--N", "9")
+    assert code == 0
+    assert coloring_from_text(out) == Coloring(9, (1 << 512) - 1)
+
+
+def test_verify_cert_for_a_target_taller_than_the_lattice(tall_target_kernels, tmp_path, capsys):
+    cert_path = tmp_path / "w.json"
+    cert_path.write_text(json.dumps({
+        "kind": "witness", "dim": 9, "target_dimension": 0,
+        "target": {"size": 12, "lt": [[i, i + 1] for i in range(11)]},
+    }))
+    col_path = tmp_path / "c.txt"
+    write_coloring(col_path, Coloring(9, (1 << 512) - 1))
+    code, out, _ = _run(capsys, "verify-cert", "--cert", str(cert_path),
+                        "--coloring", str(col_path))
+    assert code == 0
+    assert out == "certificate OK\n"
+
+
+def test_extract_clear_for_a_target_taller_than_the_lattice(tall_target_kernels, capsys):
+    code, out, _ = _run(capsys, "extract", "--what", "clear", "--n", "5", "--k", "4",
+                        "--all-blue", "--p1-chain", "12")
+    assert code == 0
+    data = json.loads(out)
+    assert data["p1_clear"] == [True] * 512
+    # C_2 still starts a copy at every vertex but the top
+    assert data["p2_clear"] == [False] * 511 + [True]
+
+
 # -------------------------------------------------------------------- bound
 
 
@@ -446,6 +501,26 @@ def test_extract_clear_rejects_bad_chain_lengths(monkeypatch, capsys, flag):
         _run(capsys, *argv, "65")
     assert info.value.code == 2
     assert "capped at 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["family", "spindle"])
+def test_extract_family_refuses_k_past_the_ordering_cap(monkeypatch, capsys, what):
+    # --k 10 listed 10! orderings before any check, and ran out of memory
+    def listing(split):
+        raise AssertionError(f"listed the orderings at k = {split.k}")
+
+    monkeypatch.setattr(cli, "all_orderings", listing)
+    argv = ("extract", "--what", what, "--n", "1", "--all-blue", "--shape", "0,1,0", "--k")
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, *argv, "10")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k! = 3628800 orderings, past the cap of 362880" in captured.err
+    assert "Traceback" not in captured.err
+    # 9! is within the cap
+    with pytest.raises(AssertionError, match="at k = 9"):
+        _run(capsys, *argv, "9")
 
 
 # -------------------------------------------------------------- verify-cert

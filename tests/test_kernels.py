@@ -33,7 +33,7 @@ from poset_ramsey.posets import (
     make_complete_multipartite,
     make_spindle,
 )
-from poset_ramsey.search import ground_permutation_tables, lex_plan
+from poset_ramsey.search import ground_permutation_tables, witness_search_args
 
 from conftest import brute_first_witness, brute_has_copy_in_masks, brute_is_witness, random_poset
 
@@ -43,10 +43,7 @@ def _relations(p):
 
 
 def _search_args(p, n, N, symmetry=False, max_nodes=1 << 30, time_limit=0.0):
-    p_below, p_above = _relations(p)
-    q_below, q_above = _relations(make_boolean_poset(n))
-    plan = lex_plan(N) if symmetry else None
-    return N, p_below, p_above, q_below, q_above, max_nodes, time_limit, plan
+    return (*witness_search_args(p, n, N, symmetry), max_nodes, time_limit)
 
 
 # ------------------------------------------------------- find_induced_copy
@@ -164,6 +161,37 @@ def _grid():
     yield Poset(4, (2, 0, 0, 0)), 2, 4, False
     yield Poset(4, (2, 0, 0, 0)), 2, 5, True
     yield Poset(4, (4, 8, 0, 0)), 1, 4, False
+
+
+def _brute_anchors(p, N):
+    """The least element of each class of maximal elements with equal
+    down-sets, by definition; none when p has a chain of more than N + 1
+    elements, which Q_N does not."""
+    def longest(e):  # elements in the longest chain topped at e
+        return 1 + max((longest(f) for f in range(p.size) if p.lt(f, e)), default=0)
+
+    if max(map(longest, range(p.size)), default=0) > N + 1:
+        return 0
+    classes = {}
+    for e in range(p.size):
+        if not any(p.lt(e, f) for f in range(p.size)):
+            classes.setdefault(frozenset(f for f in range(p.size) if p.lt(f, e)), e)
+    return sum(1 << e for e in classes.values())
+
+
+def test_anchor_masks_against_brute_force():
+    rng = random.Random(29)
+    cases = [(p, n, N) for p, n, N, _ in _grid()]
+    cases += [(random_poset(rng, rng.randint(1, 8)), rng.randint(0, 3), rng.randint(0, 6))
+              for _ in range(300)]
+    tall = Counter()
+    for p, n, N in cases:
+        args = witness_search_args(p, n, N, False)
+        assert args[3] == _brute_anchors(p, N)
+        assert args[6] == _brute_anchors(make_boolean_poset(n), N)
+        tall.update(p=args[3] == 0, q=args[6] == 0)
+    # both targets are too tall for the lattice in some cases
+    assert tall["p"] > 10 and tall["q"] > 10
 
 
 def _assert_twins_agree(compiled_kernels, p, n, N, symmetry, **budget):
@@ -400,7 +428,8 @@ def test_witness_search_twins_agree_at_dimension_7(compiled_kernels):
     assert len(tables) == 5039
     plan = pure.lex_groups(tables)
     for p in (make_chain(5), make_complete_multipartite((2, 2))):
-        args = _search_args(p, 3, 7, max_nodes=20_000)[:7] + (plan,)
+        args = _search_args(p, 3, 7, max_nodes=20_000)
+        args = (*args[:7], plan, *args[8:])
         result = pure.witness_search(*args)
         assert result == compiled_kernels.witness_search(*args)
         assert result == (STATUS_BUDGET, 0, 20_001)
@@ -533,7 +562,8 @@ def test_lex_leader_matches_a_rescan_of_every_table(kernel_backends):
             want = _rescan_search(p, q, N, tables)
             assert want[0] == STATUS_NONE or N == 3
             pruned += want != _rescan_search(p, q, N, ())
-            args = _search_args(p, n, N)[:7] + (plan,)
+            args = _search_args(p, n, N)
+            args = (*args[:7], plan, *args[8:])
             for backend in kernel_backends.values():
                 assert backend.witness_search(*args) == want
     # the tables prune somewhere, so the comparison means something
@@ -559,7 +589,7 @@ def test_table_order_does_not_change_searches(kernel_backends):
             plan = pure.lex_groups(tables)
             assert plan == args[7]
             for backend in kernel_backends.values():
-                assert backend.witness_search(*args[:7], plan) == want
+                assert backend.witness_search(*args[:7], plan, *args[8:]) == want
 
 
 def test_pure_search_touches_only_the_vertices_it_reaches():
@@ -570,11 +600,19 @@ def test_pure_search_touches_only_the_vertices_it_reaches():
         "from poset_ramsey.cli import main\n"
         "code = main(['witness', '--chain', '2', '--n', '0', '--N', '24'])\n"
         "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(code, peak if sys.platform == 'darwin' else peak * 1024)\n"
+        "peak = peak if sys.platform == 'darwin' else peak * 1024\n"
+        "try:  # this image's own peak: Linux's ru_maxrss keeps the parent's across exec\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        peak = next(int(l.split()[1]) << 10 for l in f if l.startswith('VmHWM:'))\n"
+        "except OSError:\n"
+        "    pass\n"
+        "print(code, peak)\n"
     )
     src = str(Path(pure.__file__).resolve().parents[2])
     env = dict(os.environ, POSET_RAMSEY_BACKEND="pure", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # measure the pure twin alone, without a preloaded sanitizer runtime
+    env.pop("LD_PRELOAD", None)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -639,7 +677,17 @@ def test_compiled_rejects_malformed_arguments(compiled_kernels):
             compiled_kernels.witness_search(value, *good[1:])
     for value in hostile:
         with pytest.raises((ValueError, TypeError)):
-            compiled_kernels.witness_search(*good[:7], value)
+            compiled_kernels.witness_search(*good[:7], value, *good[8:])
+    for index in (3, 6):                                  # p_anchors, q_anchors
+        m = len(good[index - 2])
+        for value, error in [
+            (1 << m, ValueError),                         # bit past the target
+            (-1, OverflowError),                          # negative
+            (1 << 64, OverflowError),                     # past 64 bits
+            ("1", TypeError),                             # not an int
+        ]:
+            with pytest.raises(error):
+                compiled_kernels.witness_search(*good[:index], value, *good[index + 1:])
     assert compiled_kernels.witness_search(*good) == pure.witness_search(*good)
 
 
