@@ -41,7 +41,7 @@ from poset_ramsey.posets import (
     poset_from_json_dict,
     poset_to_json_dict,
 )
-from poset_ramsey.search import too_tall, verify_witness
+from poset_ramsey.search import cannot_fit, verify_witness
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,22 @@ Certificate = BlueChainCert | RedQnCert | SpindleCert | WitnessCert
 # Chain-or-red dichotomy
 
 
+_LEVEL_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _blue_level(coloring: Coloring, g: GroundSplit, y_part: int) -> bytearray:
+    """Blue flags of the vertices x | y_part, one byte per X-part x.
+
+    X holds the low n bits and ``y_part`` none of them, so the level's 2^n
+    vertices are consecutive: one shift of the color bits reads them all,
+    and one ``translate`` of their binary digits (reversed, so byte x is
+    bit x) expands them to bytes.
+    """
+    x_count = 1 << g.n
+    level = (coloring.bits >> y_part) & ((1 << x_count) - 1)
+    return bytearray(format(level, f"0{x_count}b")[::-1].encode().translate(_LEVEL_FLAGS))
+
+
 def find_blue_prefix_chain(
     coloring: Coloring, g: GroundSplit, pi: YOrdering
 ) -> BlueChainCert | None:
@@ -153,14 +169,10 @@ def find_blue_prefix_chain(
     if pi.split != g:
         raise ValueError("ordering belongs to a different ground split")
     x_count = 1 << g.n
-    feasible: list[bytearray] = [bytearray(x_count) for _ in range(g.k + 1)]
+    feasible: list[bytearray] = [bytearray()] * (g.k + 1)
     above: bytearray | None = None
     for level in range(g.k, -1, -1):
-        y_part = prefix_mask(pi, level)
-        cur = feasible[level]
-        for x in range(x_count):
-            if coloring.is_blue(x | y_part):
-                cur[x] = 1
+        cur = feasible[level] = _blue_level(coloring, g, prefix_mask(pi, level))
         if above is not None:
             # Superset reachability: closed[x] = some superset feasible above.
             closed = bytearray(above)
@@ -203,6 +215,7 @@ def chain_or_red(
     if chain is not None:
         return chain
     prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
+    blue = [_blue_level(coloring, g, y_part) for y_part in prefixes]
     h = [0] * (1 << g.n)
     for x in range(1 << g.n):
         level = 0
@@ -211,7 +224,7 @@ def chain_or_red(
             low = rest & -rest
             level = max(level, h[x ^ low])
             rest ^= low
-        while level <= g.k and coloring.is_blue(x | prefixes[level]):
+        while level <= g.k and blue[level][x]:
             level += 1
         if level > g.k:
             raise InvariantViolation(
@@ -387,7 +400,7 @@ def classify_clear(
     blue = tuple(coloring.blue_vertices())
 
     def clear_flags(p: Poset, anchor: int) -> tuple[bool, ...]:
-        if too_tall(p, coloring.dim):
+        if cannot_fit(p, coloring.dim):
             return (True,) * len(blue)
         return tuple(
             _kernels.find_induced_copy(p.down, p.up, blue, anchor, v) is None for v in blue

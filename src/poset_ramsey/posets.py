@@ -93,6 +93,11 @@ class Poset:
             h[i] = best
         return tuple(h)
 
+    @cached_property
+    def width(self) -> int:
+        """Size of the largest antichain."""
+        return len(max_antichain(self))
+
 
 @dataclass(frozen=True)
 class Embedding:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 from typing import Literal
 
 from poset_ramsey import _kernels
@@ -61,17 +62,23 @@ def _colored_hosts(coloring: Coloring, color: Color) -> list[int]:
     raise ValueError(f"color must be 'blue' or 'red', not {color!r}")
 
 
-def too_tall(target: Poset, dim: int) -> bool:
-    """Whether the target's longest chain has more than dim + 1 elements,
-    the most a chain of the dimension-dim lattice has, so no copy fits."""
-    return max(target.heights, default=0) > dim
+def cannot_fit(target: Poset, dim: int) -> bool:
+    """Whether no copy of the target fits in the dimension-dim lattice: its
+    longest chain has more than dim + 1 elements, or its widest antichain
+    more than C(dim, dim // 2), the widest of the lattice (Sperner).  An
+    antichain meets a longest chain at most once, so the width is at most
+    the size minus the top height, and it is computed only when that bound
+    exceeds the lattice's."""
+    tallest = max(target.heights, default=0)
+    widest = comb(dim, dim // 2)
+    return tallest > dim or (target.size - tallest > widest and target.width > widest)
 
 
 def find_colored_copy(target: Poset, coloring: Coloring, color: Color) -> Embedding | None:
     """First induced copy of ``target`` among the vertices of one color."""
     below, above = _relation_arrays(target)
     hosts = _colored_hosts(coloring, color)
-    if too_tall(target, coloring.dim):
+    if cannot_fit(target, coloring.dim):
         return None
     images = _kernels.find_induced_copy(below, above, hosts)
     return None if images is None else Embedding(tuple(images))
@@ -150,10 +157,10 @@ def anchor_mask(target: Poset, num_bits: int) -> int:
     no further check.  Maximal elements with equal down-sets are twins:
     swapping two is an automorphism of the target, so their checks agree,
     and the mask keeps the least of each class.  The top layer of
-    K_{t_1,...,t_l} is one class.  A target too tall for the host lattice
-    has no copy in it, so it gets no anchor at all.
+    K_{t_1,...,t_l} is one class.  A target too tall or too wide for the
+    host lattice has no copy in it, so it gets no anchor at all.
     """
-    if too_tall(target, num_bits):
+    if cannot_fit(target, num_bits):
         return 0
     firsts: dict[int, int] = {}
     for e in target.maximal_elements():

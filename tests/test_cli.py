@@ -286,6 +286,67 @@ def test_extract_clear_for_a_target_taller_than_the_lattice(tall_target_kernels,
     assert data["p2_clear"] == [False] * 511 + [True]
 
 
+# -------------------------------------------------- targets wider than Q_N
+
+
+@pytest.fixture
+def wide_target_kernels(monkeypatch):
+    """Kernels that fail any search for a copy of a target over 10 elements,
+    or a witness search that anchors a check on the blue target."""
+    find, witness_search = search._kernels.find_induced_copy, search._kernels.witness_search
+
+    def find_small(below, *args):
+        assert len(below) <= 10, "searched Q_5 for a copy of a 12-element antichain"
+        return find(below, *args)
+
+    def search_unanchored(*args):
+        assert args[3] == 0, "anchored a check for a target too wide for the lattice"
+        return witness_search(*args)
+
+    monkeypatch.setattr(search._kernels, "find_induced_copy", find_small)
+    monkeypatch.setattr(search._kernels, "witness_search", search_unanchored)
+
+
+# Q_5's widest antichain, its middle layer, has C(5, 2) = 10 elements, so a
+# 12-element antichain has no copy; a search walked every antichain below
+# each vertex for about 45 s before it said so.
+
+
+def test_witness_for_a_target_wider_than_the_lattice(wide_target_kernels, capsys):
+    code, out, _ = _run(capsys, "witness", "--antichain", "12", "--n", "0", "--N", "5")
+    assert code == 0
+    assert coloring_from_text(out) == Coloring(5, (1 << 32) - 1)
+
+
+def test_verify_cert_for_a_target_wider_than_the_lattice(wide_target_kernels, tmp_path, capsys):
+    cert_path = tmp_path / "w.json"
+    cert_path.write_text(json.dumps({
+        "kind": "witness", "dim": 5, "target_dimension": 0,
+        "target": {"size": 12, "lt": []},
+    }))
+    col_path = tmp_path / "c.txt"
+    write_coloring(col_path, Coloring(5, (1 << 32) - 1))
+    code, out, _ = _run(capsys, "verify-cert", "--cert", str(cert_path),
+                        "--coloring", str(col_path))
+    assert code == 0
+    assert out == "certificate OK\n"
+
+
+def test_extract_clear_for_a_target_wider_than_the_lattice(
+    wide_target_kernels, monkeypatch, capsys
+):
+    # the CLI builds chains only; swap its builder for K_{L-1,1}, whose
+    # L-1 minimal elements lie below one top, so --p1-chain 13 is 12 wide
+    # and --p2-chain 2 is still C_2
+    monkeypatch.setattr(cli, "make_chain", lambda L: make_complete_multipartite((L - 1, 1)))
+    code, out, _ = _run(capsys, "extract", "--what", "clear", "--n", "3", "--k", "2",
+                        "--all-blue", "--p1-chain", "13")
+    assert code == 0
+    data = json.loads(out)
+    assert data["p1_clear"] == [True] * 32
+    assert data["p2_clear"] == [False] * 31 + [True]
+
+
 # -------------------------------------------------------------------- bound
 
 

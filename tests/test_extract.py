@@ -5,6 +5,7 @@ clear classification, and certificate round trips."""
 from __future__ import annotations
 
 import functools
+import json
 import operator
 import random
 import time
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poset_ramsey import _kernels, extract, posets
+from poset_ramsey import _kernels, cli, extract, posets
 from poset_ramsey.errors import InvariantViolation
 from poset_ramsey.extract import (
     BlueChainCert,
@@ -43,7 +44,15 @@ from poset_ramsey.extract import (
     pigeonhole_end_classes,
     verify_certificate,
 )
-from poset_ramsey.lattice import Coloring, GroundSplit, YOrdering, all_orderings, prefix_mask, random_coloring
+from poset_ramsey.lattice import (
+    Coloring,
+    GroundSplit,
+    YOrdering,
+    all_orderings,
+    prefix_mask,
+    random_coloring,
+    write_coloring,
+)
 from poset_ramsey.posets import (
     ChainCover,
     Embedding,
@@ -295,6 +304,144 @@ def test_chain_or_red_guard_fires_when_a_chain_was_missed(monkeypatch):
     monkeypatch.setattr(extract, "find_blue_prefix_chain", lambda *args: None)
     with pytest.raises(InvariantViolation):
         chain_or_red(Coloring(4, (1 << 16) - 1), g, _ascending(g))
+
+
+# ------------------------------------------- per-vertex reference for levels
+#
+# ``find_blue_prefix_chain`` and ``chain_or_red`` read each level off the
+# color bits in one shift.  These are the per-vertex versions they replaced,
+# kept as the reference: one ``is_blue`` call per X-part and level.
+
+
+def _per_vertex_prefix_chain(coloring: Coloring, g: GroundSplit, pi: YOrdering):
+    x_count = 1 << g.n
+    feasible = [bytearray(x_count) for _ in range(g.k + 1)]
+    above = None
+    for level in range(g.k, -1, -1):
+        y_part = prefix_mask(pi, level)
+        cur = feasible[level]
+        for x in range(x_count):
+            if coloring.is_blue(x | y_part):
+                cur[x] = 1
+        if above is not None:
+            closed = bytearray(above)
+            for b in range(g.n):
+                bit = 1 << b
+                for x in range(x_count):
+                    if not x & bit and closed[x | bit]:
+                        closed[x] = 1
+            for x in range(x_count):
+                cur[x] &= closed[x]
+        above = cur
+    first = next((x for x in range(x_count) if feasible[0][x]), None)
+    if first is None:
+        return None
+    xs = [first]
+    for level in range(1, g.k + 1):
+        prev = xs[-1]
+        xs.append(next(x for x in range(x_count) if (prev & x) == prev and feasible[level][x]))
+    return BlueChainCert(g, pi, tuple(x | prefix_mask(pi, i) for i, x in enumerate(xs)))
+
+
+def _per_vertex_chain_or_red(coloring: Coloring, g: GroundSplit, pi: YOrdering):
+    chain = _per_vertex_prefix_chain(coloring, g, pi)
+    if chain is not None:
+        return chain
+    prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
+    h = [0] * (1 << g.n)
+    for x in range(1 << g.n):
+        level = max((h[x ^ (1 << b)] for b in range(g.n) if x >> b & 1), default=0)
+        while level <= g.k and coloring.is_blue(x | prefixes[level]):
+            level += 1
+        assert level <= g.k
+        h[x] = level
+    return RedQnCert(g, g.n, tuple(x | prefixes[level] for x, level in enumerate(h)))
+
+
+def _per_vertex_chain_family(coloring: Coloring, g: GroundSplit, orderings):
+    entries = []
+    for pi in orderings:
+        cert = _per_vertex_chain_or_red(coloring, g, pi)
+        if isinstance(cert, RedQnCert):
+            return cert
+        entries.append(cert)
+    return ChainFamily(g, tuple(entries))
+
+
+_LEVEL_DENSITIES = (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(7, 8), Fraction(1))
+
+
+def _seeded_orderings(g: GroundSplit, rng: random.Random, count: int) -> list[YOrdering]:
+    """``count`` distinct orderings (fewer when k! is smaller), shuffled."""
+    seen: dict[tuple[int, ...], YOrdering] = {}
+    for _ in range(4 * count):
+        order = list(g.y_positions())
+        rng.shuffle(order)
+        seen.setdefault(tuple(order), YOrdering(g, tuple(order)))
+        if len(seen) == count:
+            break
+    return list(seen.values())
+
+
+def test_level_reader_matches_the_per_vertex_reference():
+    rng = random.Random(27)
+    outcomes = {"chain": 0, "red": 0, "family": 0, "family_red": 0}
+    for n, k, density in product(range(9), range(7), _LEVEL_DENSITIES):
+        g = GroundSplit(n, k)
+        c = random_coloring(g, rng.randrange(1 << 32), density)
+        orderings = _seeded_orderings(g, rng, 3)
+        pi = orderings[0]
+        assert find_blue_prefix_chain(c, g, pi) == _per_vertex_prefix_chain(c, g, pi)
+        cert = chain_or_red(c, g, pi)
+        assert cert == _per_vertex_chain_or_red(c, g, pi)
+        outcomes["red" if isinstance(cert, RedQnCert) else "chain"] += 1
+        family = collect_chain_family(c, g, orderings)
+        assert family == _per_vertex_chain_family(c, g, orderings)
+        outcomes["family_red" if isinstance(family, RedQnCert) else "family"] += 1
+    # both outcomes of every function are compared, many times over
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("n, k", [(7, 7), (8, 8), (10, 6), (12, 4), (14, 2), (6, 10)])
+def test_level_reader_matches_the_reference_at_dimension_14_to_16(n: int, k: int):
+    g = GroundSplit(n, k)
+    rng = random.Random(n * 100 + k)
+    for density in (Fraction(1, 2), Fraction(7, 8)):
+        c = random_coloring(g, rng.randrange(1 << 32), density)
+        for pi in _seeded_orderings(g, rng, 2):
+            assert chain_or_red(c, g, pi) == _per_vertex_chain_or_red(c, g, pi)
+
+
+def test_chain_family_and_spindle_read_no_vertex_one_at_a_time(monkeypatch, tmp_path, capsys):
+    """The extraction path reads whole levels; only the checkers call is_blue."""
+    g = GroundSplit(3, 3)
+    blue_chain = random_coloring(g, 5, Fraction(7, 8))
+    red_cube = random_coloring(g, 5, Fraction(1, 8))
+    orderings = list(all_orderings(g))
+    coloring_file = tmp_path / "c.txt"
+    write_coloring(coloring_file, blue_chain)
+
+    def refuse(self, vertex):
+        raise AssertionError("read a vertex color one at a time")
+
+    monkeypatch.setattr(Coloring, "is_blue", refuse)
+    chain = chain_or_red(blue_chain, g, orderings[0])
+    cube = chain_or_red(red_cube, g, orderings[0])
+    assert isinstance(chain, BlueChainCert) and isinstance(cube, RedQnCert)
+    family = collect_chain_family(blue_chain, g, orderings)
+    assert isinstance(family, ChainFamily)
+    assert isinstance(collect_chain_family(red_cube, g, orderings), RedQnCert)
+    cls = pigeonhole_end_classes(family, 1, 1)[0]
+    assert isinstance(assemble_spindle(cls, SpindleSpec(1, 2, 1), g), SpindleCert)
+    for shape in ("1,2,1", "2,3,2"):
+        code = cli.main(["extract", "--what", "spindle", "--n", "3", "--k", "3",
+                         "--coloring", str(coloring_file), "--shape", shape])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["kind"] in ("spindle", "chain_cover")
+    # the certificate checkers still read each vertex through is_blue
+    for cert, coloring in ((chain, blue_chain), (cube, red_cube)):
+        with pytest.raises(AssertionError, match="one at a time"):
+            verify_certificate(cert, coloring)
 
 
 # ----------------------------------------------------------- chain family

@@ -17,7 +17,8 @@ import sys
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -166,11 +167,16 @@ def _grid():
 def _brute_anchors(p, N):
     """The least element of each class of maximal elements with equal
     down-sets, by definition; none when p has a chain of more than N + 1
-    elements, which Q_N does not."""
+    elements or an antichain of more than C(N, N // 2), which Q_N does not."""
     def longest(e):  # elements in the longest chain topped at e
         return 1 + max((longest(f) for f in range(p.size) if p.lt(f, e)), default=0)
 
-    if max(map(longest, range(p.size)), default=0) > N + 1:
+    def antichain(s):
+        return not any(p.lt(e, f) for e in s for f in s)
+
+    widest = max(len(s) for r in range(p.size + 1)
+                 for s in combinations(range(p.size), r) if antichain(s))
+    if max(map(longest, range(p.size)), default=0) > N + 1 or widest > comb(N, N // 2):
         return 0
     classes = {}
     for e in range(p.size):
@@ -184,14 +190,15 @@ def test_anchor_masks_against_brute_force():
     cases = [(p, n, N) for p, n, N, _ in _grid()]
     cases += [(random_poset(rng, rng.randint(1, 8)), rng.randint(0, 3), rng.randint(0, 6))
               for _ in range(300)]
-    tall = Counter()
+    unfit = Counter()
     for p, n, N in cases:
         args = witness_search_args(p, n, N, False)
         assert args[3] == _brute_anchors(p, N)
         assert args[6] == _brute_anchors(make_boolean_poset(n), N)
-        tall.update(p=args[3] == 0, q=args[6] == 0)
-    # both targets are too tall for the lattice in some cases
-    assert tall["p"] > 10 and tall["q"] > 10
+        unfit.update(p=args[3] == 0, q=args[6] == 0,
+                     wide=args[3] == 0 and max(p.heights) <= N)
+    # both targets fail to fit the lattice in some cases, some by width alone
+    assert unfit["p"] > 10 and unfit["q"] > 10 and unfit["wide"] > 10
 
 
 def _assert_twins_agree(compiled_kernels, p, n, N, symmetry, **budget):

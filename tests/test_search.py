@@ -8,9 +8,17 @@ import pytest
 
 from poset_ramsey.errors import SearchBudgetExceeded
 from poset_ramsey.lattice import Coloring
-from poset_ramsey.posets import Embedding, make_antichain, make_boolean_poset, make_chain
+from poset_ramsey.posets import (
+    Embedding,
+    make_antichain,
+    make_boolean_poset,
+    make_chain,
+    make_complete_multipartite,
+)
 from poset_ramsey.search import (
     SearchBudget,
+    anchor_mask,
+    cannot_fit,
     find_colored_copy,
     find_witness,
     ground_permutation_tables,
@@ -47,6 +55,28 @@ def test_find_colored_copy_against_brute_force():
                 assert (emb is not None) == want
                 if emb is not None:
                     assert check_colored_embedding(target, c, color, emb) == []
+
+
+def test_cannot_fit_at_the_height_and_sperner_limits():
+    # Q_5's longest chain has 6 elements and its widest antichain C(5, 2) = 10
+    assert not cannot_fit(make_chain(6), 5) and cannot_fit(make_chain(7), 5)
+    assert not cannot_fit(make_antichain(10), 5) and cannot_fit(make_antichain(11), 5)
+    # 12 elements but only 6 wide: it passes the size test and fits by width
+    assert not cannot_fit(make_complete_multipartite((6, 6)), 5)
+    assert cannot_fit(make_complete_multipartite((1, 11)), 5)
+    assert make_boolean_poset(4).width == 6
+    # in Q_2 a chain of 3 leaves room for an antichain of 2 at most, which
+    # Q_2 holds, so the width is never computed
+    q2 = make_boolean_poset(2)
+    assert not cannot_fit(q2, 2) and "width" not in vars(q2)
+    assert [cannot_fit(make_boolean_poset(n), N) for n, N in ((3, 3), (3, 2), (0, 0))] == [
+        False, True, False]
+    full = Coloring(5, (1 << 32) - 1)
+    assert find_colored_copy(make_antichain(10), full, "blue") is not None
+    assert find_colored_copy(make_antichain(11), full, "blue") is None
+    assert anchor_mask(make_antichain(11), 5) == 0
+    # its maxima are twins, so the one anchor is the least
+    assert anchor_mask(make_antichain(10), 5) == 1
 
 
 def test_check_colored_embedding_reports_each_defect():
