@@ -257,7 +257,7 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
             status = STATUS_BUDGET;
             break;
         }
-        if (pr->time_limit > 0 && nodes % 1024 == 0 && monotonic_seconds() > deadline) {
+        if (pr->time_limit > 0 && monotonic_seconds() > deadline) {
             status = STATUS_TIMEOUT;
             break;
         }

@@ -382,7 +382,7 @@ def witness_search(
         if nodes > max_nodes:
             status = STATUS_BUDGET
             break
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             status = STATUS_TIMEOUT
             break
         if v == len(rows):

@@ -157,22 +157,50 @@ def _blue_level(coloring: Coloring, g: GroundSplit, y_part: int) -> bytearray:
 def find_blue_prefix_chain(
     coloring: Coloring, g: GroundSplit, pi: YOrdering
 ) -> BlueChainCert | None:
-    """Least blue chain (X_0|Y(0)), ..., (X_k|Y(k)) with nested X-parts.
+    """The blue chain of :func:`chain_or_red`, or None where it gives a red cube."""
+    cert = chain_or_red(coloring, g, pi)
+    return cert if isinstance(cert, BlueChainCert) else None
+
+
+def chain_or_red(
+    coloring: Coloring, g: GroundSplit, pi: YOrdering
+) -> BlueChainCert | RedQnCert:
+    """Least blue chain (X_0|Y(0)), ..., (X_k|Y(k)) with nested X-parts, else
+    a red copy of the X-lattice, both read off one top-down pass.
 
     Level sets are pruned top-down: an X-part survives at level i only if it
     is blue there and some superset survives at level i+1.  The surviving
     sets make the left-to-right smallest-first extraction backtrack-free, so
     the returned X-tuple is the lexicographic minimum among valid towers.
+
+    The red copy is built, not searched for.  Let reach(i), for i in 1..k, be
+    the X-parts with a surviving superset at level i: the ``closed`` array
+    that prunes level i-1.  A survivor at level i has one at level i+1 above
+    it, so reach(i) grows with i, and no chain means nothing survives at level
+    0.  Let d[X] be the number of levels i with X not in reach(i); then X is
+    in reach(i) exactly for i > d[X], and X -> X|Y(d[X]) is a red induced
+    copy of the X-lattice:
+
+      * red: were X|Y(d[X]) blue, X would survive at level d[X], since
+        d[X] = k or X is in reach(d[X]+1).  A survivor at level 0 starts a
+        chain, and one at level i >= 1 lies in reach(i), which X does not;
+      * order-preserving: reach(i) is closed under subsets, so X inside X'
+        gives d[X] <= d[X'];
+      * injective and order-reflecting: the X-parts of the images are X.
+
+    d is counted only when no chain exists.
     """
     if coloring.dim != g.total:
         raise ValueError("coloring dimension differs from the ground split")
     if pi.split != g:
         raise ValueError("ordering belongs to a different ground split")
     x_count = 1 << g.n
+    prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
     feasible: list[bytearray] = [bytearray()] * (g.k + 1)
+    reach: list[bytearray] = []
     above: bytearray | None = None
     for level in range(g.k, -1, -1):
-        cur = feasible[level] = _blue_level(coloring, g, prefix_mask(pi, level))
+        cur = feasible[level] = _blue_level(coloring, g, prefixes[level])
         if above is not None:
             # Superset reachability: closed[x] = some superset feasible above.
             closed = bytearray(above)
@@ -183,57 +211,19 @@ def find_blue_prefix_chain(
                         closed[x] = 1
             for x in range(x_count):
                 cur[x] &= closed[x]
+            reach.append(closed)
         above = cur
     first = next((x for x in range(x_count) if feasible[0][x]), None)
     if first is None:
-        return None
+        images = tuple(x | prefixes[sum(1 - r[x] for r in reach)] for x in range(x_count))
+        return RedQnCert(split=g, dimension=g.n, images=images)
     xs = [first]
     for level in range(1, g.k + 1):
         cur = feasible[level]
         prev = xs[-1]
         xs.append(next(x for x in range(x_count) if (prev & x) == prev and cur[x]))
-    vertices = tuple(x | prefix_mask(pi, i) for i, x in enumerate(xs))
+    vertices = tuple(x | prefixes[i] for i, x in enumerate(xs))
     return BlueChainCert(split=g, ordering=pi, vertices=vertices)
-
-
-def chain_or_red(
-    coloring: Coloring, g: GroundSplit, pi: YOrdering
-) -> BlueChainCert | RedQnCert:
-    """Blue prefix chain for ``pi`` if one exists, else a red lattice copy.
-
-    The red copy is built, not searched for.  Let h[X] be the length of the
-    longest blue prefix chain whose X-parts all lie inside X.  Then
-    h[X] = L + (the run of blue vertices X|Y(L), X|Y(L+1), ...), where L is
-    the largest h[X - b] over b in X, so one pass over the X-parts in
-    ascending mask order fills the table.  h is monotone and stays at most k
-    when no blue chain exists; then X -> X|Y(h[X]) is an induced copy of the
-    X-lattice, red because the run of blue vertices stopped there.  h
-    reaching k+1 after all is impossible for a genuine coloring and raises
-    :class:`InvariantViolation`.
-    """
-    chain = find_blue_prefix_chain(coloring, g, pi)
-    if chain is not None:
-        return chain
-    prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
-    blue = [_blue_level(coloring, g, y_part) for y_part in prefixes]
-    h = [0] * (1 << g.n)
-    for x in range(1 << g.n):
-        level = 0
-        rest = x
-        while rest:
-            low = rest & -rest
-            level = max(level, h[x ^ low])
-            rest ^= low
-        while level <= g.k and blue[level][x]:
-            level += 1
-        if level > g.k:
-            raise InvariantViolation(
-                "no blue prefix chain, yet a blue chain ends inside X-part "
-                f"{x}: corrupted coloring or implementation bug"
-            )
-        h[x] = level
-    images = tuple(x | prefixes[level] for x, level in enumerate(h))
-    return RedQnCert(split=g, dimension=g.n, images=images)
 
 
 #: Most Y-orderings a chain family may take: ``ramsey extract --what

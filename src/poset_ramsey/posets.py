@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from poset_ramsey import _kernels
@@ -192,8 +192,13 @@ def make_spindle(spec: SpindleSpec | tuple[int, int, int]) -> Poset:
     return make_complete_multipartite(spec.layer_sizes())
 
 
+@cache
 def make_boolean_poset(n: int) -> Poset:
-    """Boolean lattice of dimension n as a poset; element i is the subset-mask i."""
+    """Boolean lattice of dimension n as a poset; element i is the subset-mask i.
+
+    Built once per n and shared, with the heights and width it caches: a
+    ``Poset`` is immutable.
+    """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     size = 1 << n

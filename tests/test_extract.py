@@ -298,64 +298,73 @@ def test_chain_or_red_builds_checked_red_cubes(n: int):
     assert reds >= 5
 
 
-def test_chain_or_red_guard_fires_when_a_chain_was_missed(monkeypatch):
-    # the h table reaches k+1 exactly when a blue prefix chain exists
-    g = GroundSplit(2, 2)
-    monkeypatch.setattr(extract, "find_blue_prefix_chain", lambda *args: None)
-    with pytest.raises(InvariantViolation):
-        chain_or_red(Coloring(4, (1 << 16) - 1), g, _ascending(g))
+def _brute_red_levels(coloring: Coloring, g: GroundSplit, pi: YOrdering) -> list[int]:
+    """For each X-part X, the largest level i such that no blue tower
+    X_i, ..., X_k (nested, X_j | Y(j) blue) starts at a superset of X,
+    found by listing every blue tower from every level."""
+    prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
+    starts = []
+    for i in range(g.k + 1):
+        towers = (
+            xs for xs in product(range(1 << g.n), repeat=g.k + 1 - i)
+            if all(a & b == a for a, b in zip(xs, xs[1:]))
+            and all(coloring.is_blue(x | y) for x, y in zip(xs, prefixes[i:]))
+        )
+        starts.append({xs[0] for xs in towers})
+    return [
+        max(i for i in range(g.k + 1) if not any(x & s == x for s in starts[i]))
+        for x in range(1 << g.n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_red_cube_levels_match_the_blue_tower_oracle(n: int):
+    # the image of X is X | Y(d[X]); d[X] is its number of Y bits
+    rng = random.Random(28 + n)
+    reds = 0
+    for k, density in product(range(4), (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))):
+        g = GroundSplit(n, k)
+        orderings = list(all_orderings(g))
+        for _ in range(6):
+            c = random_coloring(g, rng.randrange(1 << 32), density)
+            pi = rng.choice(orderings)
+            cert = chain_or_red(c, g, pi)
+            if isinstance(cert, RedQnCert):
+                reds += 1
+                levels = [(v & g.y_mask).bit_count() for v in cert.images]
+                assert levels == _brute_red_levels(c, g, pi)
+    assert reds >= 20, reds
 
 
 # ------------------------------------------- per-vertex reference for levels
 #
-# ``find_blue_prefix_chain`` and ``chain_or_red`` read each level off the
-# color bits in one shift.  These are the per-vertex versions they replaced,
-# kept as the reference: one ``is_blue`` call per X-part and level.
-
-
-def _per_vertex_prefix_chain(coloring: Coloring, g: GroundSplit, pi: YOrdering):
-    x_count = 1 << g.n
-    feasible = [bytearray(x_count) for _ in range(g.k + 1)]
-    above = None
-    for level in range(g.k, -1, -1):
-        y_part = prefix_mask(pi, level)
-        cur = feasible[level]
-        for x in range(x_count):
-            if coloring.is_blue(x | y_part):
-                cur[x] = 1
-        if above is not None:
-            closed = bytearray(above)
-            for b in range(g.n):
-                bit = 1 << b
-                for x in range(x_count):
-                    if not x & bit and closed[x | bit]:
-                        closed[x] = 1
-            for x in range(x_count):
-                cur[x] &= closed[x]
-        above = cur
-    first = next((x for x in range(x_count) if feasible[0][x]), None)
-    if first is None:
-        return None
-    xs = [first]
-    for level in range(1, g.k + 1):
-        prev = xs[-1]
-        xs.append(next(x for x in range(x_count) if (prev & x) == prev and feasible[level][x]))
-    return BlueChainCert(g, pi, tuple(x | prefix_mask(pi, i) for i, x in enumerate(xs)))
+# ``chain_or_red`` reads each level off the color bits in one shift and
+# closes it under subsets one bit at a time.  This is the per-vertex version,
+# kept as the reference: one ``is_blue`` call per X-part and level, and each
+# level's reach taken X-part by X-part from the reach of its one-bit supersets.
 
 
 def _per_vertex_chain_or_red(coloring: Coloring, g: GroundSplit, pi: YOrdering):
-    chain = _per_vertex_prefix_chain(coloring, g, pi)
-    if chain is not None:
-        return chain
+    x_count = 1 << g.n
     prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
-    h = [0] * (1 << g.n)
-    for x in range(1 << g.n):
-        level = max((h[x ^ (1 << b)] for b in range(g.n) if x >> b & 1), default=0)
-        while level <= g.k and coloring.is_blue(x | prefixes[level]):
-            level += 1
-        assert level <= g.k
-        h[x] = level
-    return RedQnCert(g, g.n, tuple(x | prefixes[level] for x, level in enumerate(h)))
+    survives = [[False] * x_count for _ in range(g.k + 1)]
+    # reach[i][x]: some superset of x survives at level i; every x reaches k+1
+    reach = [[False] * x_count for _ in range(g.k + 1)] + [[True] * x_count]
+    for level in range(g.k, -1, -1):
+        for x in range(x_count):
+            survives[level][x] = reach[level + 1][x] and coloring.is_blue(x | prefixes[level])
+        for x in range(x_count - 1, -1, -1):
+            reach[level][x] = survives[level][x] or any(
+                reach[level][x | 1 << b] for b in range(g.n) if not x >> b & 1
+            )
+    if not any(survives[0]):
+        levels = [sum(not reach[i][x] for i in range(1, g.k + 1)) for x in range(x_count)]
+        return RedQnCert(g, g.n, tuple(x | prefixes[d] for x, d in enumerate(levels)))
+    xs = [survives[0].index(True)]
+    for level in range(1, g.k + 1):
+        prev = xs[-1]
+        xs.append(next(x for x in range(x_count) if (prev & x) == prev and survives[level][x]))
+    return BlueChainCert(g, pi, tuple(x | prefixes[i] for i, x in enumerate(xs)))
 
 
 def _per_vertex_chain_family(coloring: Coloring, g: GroundSplit, orderings):
@@ -391,9 +400,10 @@ def test_level_reader_matches_the_per_vertex_reference():
         c = random_coloring(g, rng.randrange(1 << 32), density)
         orderings = _seeded_orderings(g, rng, 3)
         pi = orderings[0]
-        assert find_blue_prefix_chain(c, g, pi) == _per_vertex_prefix_chain(c, g, pi)
         cert = chain_or_red(c, g, pi)
         assert cert == _per_vertex_chain_or_red(c, g, pi)
+        chain = cert if isinstance(cert, BlueChainCert) else None
+        assert find_blue_prefix_chain(c, g, pi) == chain
         outcomes["red" if isinstance(cert, RedQnCert) else "chain"] += 1
         family = collect_chain_family(c, g, orderings)
         assert family == _per_vertex_chain_family(c, g, orderings)

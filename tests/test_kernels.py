@@ -396,7 +396,8 @@ def test_witness_search_statuses(kernel_backends):
 
         args = _search_args(make_chain(3), 2, 4, time_limit=1e-9)
         status, _, nodes = backend.witness_search(*args)
-        assert status == STATUS_TIMEOUT
+        # the deadline is read on every node, not every 1,024th
+        assert status == STATUS_TIMEOUT and nodes < 1024
 
 
 def test_symmetry_tables_do_not_change_results(kernel_backends):
