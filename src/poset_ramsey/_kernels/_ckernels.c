@@ -44,11 +44,21 @@ typedef struct {
     const uint64_t *above; /* above[i]: elements strictly over i */
 } target;
 
+/* backtracks between clock reads in an anchored check, as in the pure twin */
+enum { CLOCK_BACKTRACKS = 1024 };
+
 typedef struct {           /* find_copy's work arrays, one slot per element */
     uint64_t images[64];
     int order[64];
     int64_t cand[64];
 } scratch;
+
+static double monotonic_seconds(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
 
 /* Can element e take host h, given the images of the assigned elements? */
 static int consistent(int m, const uint64_t *below, const uint64_t *above,
@@ -72,11 +82,14 @@ static int consistent(int m, const uint64_t *below, const uint64_t *above,
 /* Fill s->images with the first induced embedding of t into the ascending
  * hosts[0..nhosts) and return 1, else 0.  The anchored element, if
  * anchor_idx >= 0, is fixed at anchor_mask first; the others follow in
- * index order, each trying the hosts in ascending order. */
+ * index order, each trying the hosts in ascending order.  With a deadline
+ * (> 0), the clock is read every CLOCK_BACKTRACKS backtracks, and -1 comes
+ * back once it has passed. */
 static int find_copy(const target *t, const uint64_t *hosts, int64_t nhosts,
-                     int anchor_idx, uint64_t anchor_mask, scratch *s)
+                     int anchor_idx, uint64_t anchor_mask, double deadline, scratch *s)
 {
     int m = t->m, npos = 0, level = 0;
+    int64_t backtracks = 0;
     /* locals rather than t-> and s-> fields: the search ran about 10%
      * slower through the fields under gcc -O3 */
     const uint64_t *below = t->below, *above = t->above;
@@ -121,6 +134,9 @@ static int find_copy(const target *t, const uint64_t *hosts, int64_t nhosts,
             cand[++level] = 0;
         } else if (--level >= 0) {
             assigned &= ~(UINT64_C(1) << order[level]);
+            if (deadline > 0 && ++backtracks % CLOCK_BACKTRACKS == 0
+                    && monotonic_seconds() > deadline)
+                return -1;
         }
     }
     return 0;
@@ -210,13 +226,6 @@ typedef struct {
     double time_limit;     /* seconds; no deadline when <= 0 */
 } search_problem;
 
-static double monotonic_seconds(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
-}
-
 /* The depth-first loop of search(), over arrays it has allocated: hosts[c]
  * lists the color-c vertices in ascending order. */
 static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
@@ -243,7 +252,7 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
     }
     state[0] = 0;
     while (v >= 0) {
-        int c = state[v], ok = 1;
+        int c = state[v], found = 0, ok;
         if (c == 2) {
             if (--v >= 0) {
                 count[colors[v]]--;
@@ -263,9 +272,14 @@ static int run_search(const search_problem *pr, int8_t *colors, int8_t *state,
         }
         colors[v] = (int8_t)c;
         hosts[c][count[c]++] = (uint64_t)v;
-        for (int e = 0; e < pr->t[c].m && ok; e++)
+        for (int e = 0; e < pr->t[c].m && !found; e++)
             if ((pr->anchors[c] >> e) & 1)
-                ok = !find_copy(&pr->t[c], hosts[c], count[c], e, (uint64_t)v, &s);
+                found = find_copy(&pr->t[c], hosts[c], count[c], e, (uint64_t)v, deadline, &s);
+        if (found < 0) {
+            status = STATUS_TIMEOUT;
+            break;
+        }
+        ok = !found;
         if (ok && lex && !advance_groups(lex, st, colors, v)) {
             undo_moves(lex, st, v);
             ok = 0;
@@ -403,7 +417,7 @@ static PyObject *py_find_induced_copy(PyObject *self, PyObject *args, PyObject *
         if (anchor_mask == (uint64_t)-1 && PyErr_Occurred())
             goto done;
     }
-    if (!find_copy(&t, hosts, nhosts, anchor_idx, anchor_mask, &s)) {
+    if (!find_copy(&t, hosts, nhosts, anchor_idx, anchor_mask, 0.0, &s)) {
         result = Py_NewRef(Py_None);
         goto done;
     }

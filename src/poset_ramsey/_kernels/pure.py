@@ -83,6 +83,15 @@ _BELOW = 2
 #: classifies only those, and a long one classifies each host once per image.
 _FIRST_WINDOW = 16
 
+#: Backtracks between clock reads in an anchored check of a search with a
+#: time limit.  The compiled twin reads it as often.
+_CLOCK_BACKTRACKS = 1024
+
+
+class _DeadlinePassed(Exception):
+    """An anchored check ran past the search's deadline."""
+
+
 #: Entries in each anchored-check memo of ``witness_search``; a full memo is
 #: cleared, which bounds a deep search's memory.
 _MEMO_ENTRIES = 1 << 15
@@ -104,7 +113,9 @@ def _anchored_order(m: int, anchor_idx: int) -> list[int]:
     return [anchor_idx] + [i for i in range(m) if i != anchor_idx]
 
 
-def _first_embedding(plan, windows, rows, images: list[int], start: int) -> bool:
+def _first_embedding(
+    plan, windows, rows, images: list[int], start: int, deadline: float | None = None
+) -> bool:
     """Fill ``images[start:]`` with the first consistent bit indices.
 
     ``images[:start]`` are fixed already.  ``windows`` splits the bit
@@ -112,7 +123,9 @@ def _first_embedding(plan, windows, rows, images: list[int], start: int) -> bool
     pair; ``rows[w][i]`` is the row of image i within window w, its bits
     counted from the window's first index.  The candidates at a position are
     the window mask ANDed with one row slot per earlier position; every slot
-    excludes the image it belongs to, so images stay distinct.
+    excludes the image it belongs to, so images stay distinct.  With a
+    ``deadline``, the clock is read every ``_CLOCK_BACKTRACKS`` backtracks,
+    and :class:`_DeadlinePassed` is raised once it has passed.
     """
     depth = len(plan)
     if start >= depth:
@@ -122,6 +135,7 @@ def _first_embedding(plan, windows, rows, images: list[int], start: int) -> bool
     where = [0] * depth
     pos = start
     w = 0
+    backtracks = 0
     while True:
         if w < nwin:
             base, c = windows[w]
@@ -134,6 +148,10 @@ def _first_embedding(plan, windows, rows, images: list[int], start: int) -> bool
             pos -= 1
             if pos < start:
                 return False
+            if deadline is not None:
+                backtracks += 1
+                if not backtracks % _CLOCK_BACKTRACKS and time.monotonic() > deadline:
+                    raise _DeadlinePassed
             c = rest[pos]
             w = where[pos]
             base = windows[w][0]
@@ -335,7 +353,7 @@ def witness_search(
         if universe.bit_count() < len(plan):
             return False
         images[0] = anchor
-        return _first_embedding(plan, [(0, universe)], window_rows, images, 1)
+        return _first_embedding(plan, [(0, universe)], window_rows, images, 1, deadline)
 
     symmetric = lex_plan is not None
     if symmetric:
@@ -399,18 +417,21 @@ def witness_search(
         colors[v] = c
         masks[c] |= 1 << v
         memo = memos[c]
-        if memo is None:
-            if any(has_copy(plan, masks[c], v) for plan in checks[c]):
-                continue  # the loop's head uncolors v
-        else:
-            key = masks[c] & rows[v][_BELOW]
-            ok = memo.get(key)
-            if ok is None:
-                if len(memo) >= _MEMO_ENTRIES:
-                    memo.clear()
-                ok = memo[key] = not has_copy(checks[c][0], key | 1 << v, v)
-            if not ok:
-                continue
+        try:
+            if memo is None:
+                ok = not any(has_copy(plan, masks[c], v) for plan in checks[c])
+            else:
+                key = masks[c] & rows[v][_BELOW]
+                ok = memo.get(key)
+                if ok is None:
+                    if len(memo) >= _MEMO_ENTRIES:
+                        memo.clear()
+                    ok = memo[key] = not has_copy(checks[c][0], key | 1 << v, v)
+        except _DeadlinePassed:
+            status = STATUS_TIMEOUT
+            break
+        if not ok:
+            continue  # the loop's head uncolors v
         if symmetric:
             # advance the groups waiting on v; a permuted coloring that is
             # less prunes v, and the loop's head undoes the moves so far.

@@ -394,11 +394,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 # extract / verify-cert
 
 
-def _spindle_or_cover(family: extract.ChainFamily, shape: tuple[int, ...],
+def _spindle_or_cover(family: extract.ChainFamily, spec: SpindleSpec,
                       split: GroundSplit) -> str:
-    r, s, t = shape
-    spec = SpindleSpec(r, s, t)
-    cls = extract.pigeonhole_end_classes(family, r, t)[0]
+    cls = extract.pigeonhole_end_classes(family, spec.r, spec.t)[0]
     outcome = extract.assemble_spindle(cls, spec, split)
     if isinstance(outcome, extract.SpindleCert):
         return extract.certificate_to_json(outcome)
@@ -424,6 +422,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             f"--what {args.what} lists all k! = {orderings} orderings, "
             f"past the cap of {extract.MAX_FAMILY_ORDERINGS}"
         )
+    if args.what == "spindle":
+        # the shape is checked against k before the coloring and the family
+        if args.shape is None:
+            raise ValueError("--what spindle requires --shape R,S,T")
+        spec = SpindleSpec(*args.shape)
+        extract.end_indices(split.k, spec.r, spec.t)
     coloring = _load_coloring(args, split)
     ground = extract.ground_to_json_dict(split)
 
@@ -441,8 +445,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         data.update((f.name, list(getattr(result, f.name))) for f in fields(result))
         text = json.dumps(data, indent=2)
     else:
-        if args.what == "spindle" and args.shape is None:
-            raise ValueError("--what spindle requires --shape R,S,T")
         family = extract.collect_chain_family(coloring, split, list(all_orderings(split)))
         if isinstance(family, extract.RedQnCert):
             text = extract.certificate_to_json(family)
@@ -455,7 +457,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 ],
             }, indent=2)
         else:
-            text = _spindle_or_cover(family, args.shape, split)
+            text = _spindle_or_cover(family, spec, split)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -190,6 +190,26 @@ def chain_or_red(
 
     d is counted only when no chain exists.
     """
+    return _chain_or_red(coloring, g, pi, None)
+
+
+def _chain_or_red(
+    coloring: Coloring,
+    g: GroundSplit,
+    pi: YOrdering,
+    shared: dict[tuple[int, ...], bytearray] | None,
+) -> BlueChainCert | RedQnCert:
+    """:func:`chain_or_red`, reading levels that other orderings built.
+
+    Level i's survivors depend only on the suffix ``pi.order[i:]``, which
+    fixes the prefixes Y(i), ..., Y(k).  ``shared``, kept across the
+    orderings of one family, maps suffixes to survivors: the pass starts
+    below the deepest level found there and stores each level i >= 2 it
+    builds.  Levels 0 and 1 are never stored, since k - 1 entries fix the
+    ordering.  Other orderings read a stored array, so nothing writes to it
+    once stored.  Stored levels carry no reach, so when no chain exists the
+    plain pass runs again and builds the cube.
+    """
     if coloring.dim != g.total:
         raise ValueError("coloring dimension differs from the ground split")
     if pi.split != g:
@@ -198,12 +218,16 @@ def chain_or_red(
     prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
     feasible: list[bytearray] = [bytearray()] * (g.k + 1)
     reach: list[bytearray] = []
-    above: bytearray | None = None
-    for level in range(g.k, -1, -1):
-        cur = feasible[level] = _blue_level(coloring, g, prefixes[level])
-        if above is not None:
+    top = g.k
+    if shared is not None:
+        while top >= 2 and (stored := shared.get(pi.order[top:])) is not None:
+            feasible[top] = stored
+            top -= 1
+    for level in range(top, -1, -1):
+        cur = _blue_level(coloring, g, prefixes[level])
+        if level < g.k:
             # Superset reachability: closed[x] = some superset feasible above.
-            closed = bytearray(above)
+            closed = bytearray(feasible[level + 1])
             for b in range(g.n):
                 bit = 1 << b
                 for x in range(x_count):
@@ -212,9 +236,13 @@ def chain_or_red(
             for x in range(x_count):
                 cur[x] &= closed[x]
             reach.append(closed)
-        above = cur
+        feasible[level] = cur
+        if shared is not None and level >= 2:
+            shared[pi.order[level:]] = cur
     first = next((x for x in range(x_count) if feasible[0][x]), None)
     if first is None:
+        if shared is not None:
+            return _chain_or_red(coloring, g, pi, None)
         images = tuple(x | prefixes[sum(1 - r[x] for r in reach)] for x in range(x_count))
         return RedQnCert(split=g, dimension=g.n, images=images)
     xs = [first]
@@ -238,13 +266,18 @@ def collect_chain_family(
     """One blue chain per ordering, short-circuiting on the first red copy.
 
     Orderings are evaluated in index order, so the red certificate (when any
-    ordering produces one) is always the lowest-index one.
+    ordering produces one) is always the lowest-index one.  Each level is
+    built once per ordering suffix and shared by the orderings that end in
+    it (see ``_chain_or_red``): 2·k! + sum over i = 2..k of k!/i! level
+    builds for all k! orderings, about e·k!, where one pass per ordering
+    takes (k+1)·k!.
     """
     if len(set(o.order for o in orderings)) != len(orderings):
         raise ValueError("orderings must be pairwise distinct")
+    shared: dict[tuple[int, ...], bytearray] = {}
     entries = []
     for pi in orderings:
-        cert = chain_or_red(coloring, g, pi)
+        cert = _chain_or_red(coloring, g, pi, shared)
         if isinstance(cert, RedQnCert):
             return cert
         entries.append(cert)
@@ -260,7 +293,7 @@ def end_indices(k: int, r: int, t: int) -> tuple[int, ...]:
     if r < 0 or t < 0:
         raise ValueError("r and t must be nonnegative")
     if r + t > k + 1:
-        raise ValueError("r + t exceeds the chain length")
+        raise ValueError(f"r + t = {r + t} exceeds the chain length k + 1 = {k + 1}")
     return tuple(range(r)) + tuple(range(k - t + 1, k + 1))
 
 

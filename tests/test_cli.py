@@ -525,6 +525,25 @@ def test_extract_spindle_requires_shape(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("n, k, shape", [(2, 2, "2,2,2"), (1, 8, "5,2,5")])
+@pytest.mark.parametrize("source", [("--all-red",), ("--all-blue",),
+                                    ("--coloring", "no-such-file.txt")], ids=" ".join)
+def test_extract_spindle_checks_the_shape_first(monkeypatch, capsys, n, k, shape, source):
+    # r + t > k + 1: --all-red printed a red cube and --all-blue exited 2
+    # only after the whole family (1.45 s at k = 8)
+    def building(*args):
+        raise AssertionError("built the chain family")
+
+    monkeypatch.setattr(cli.extract, "collect_chain_family", building)
+    with pytest.raises(SystemExit) as info:
+        _run(capsys, "extract", "--what", "spindle", "--n", str(n), "--k", str(k), *source,
+             "--shape", shape)
+    assert info.value.code == 2
+    r, _, t = map(int, shape.split(","))
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: r + t = {r + t} exceeds the chain length k + 1 = {k + 1}\n")
+
+
 def test_extract_coloring_dimension_mismatch(tmp_path, capsys):
     cpath = tmp_path / "c.txt"
     write_coloring(cpath, Coloring(2, 0))

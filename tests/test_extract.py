@@ -5,7 +5,9 @@ clear classification, and certificate round trips."""
 from __future__ import annotations
 
 import functools
+import gc
 import json
+import math
 import operator
 import random
 import time
@@ -367,10 +369,12 @@ def _per_vertex_chain_or_red(coloring: Coloring, g: GroundSplit, pi: YOrdering):
     return BlueChainCert(g, pi, tuple(x | prefixes[i] for i, x in enumerate(xs)))
 
 
-def _per_vertex_chain_family(coloring: Coloring, g: GroundSplit, orderings):
+def _per_vertex_chain_family(coloring: Coloring, g: GroundSplit, orderings,
+                             chain_or_red=_per_vertex_chain_or_red):
+    """The family as one pass per ordering, up to the first red ordering."""
     entries = []
     for pi in orderings:
-        cert = _per_vertex_chain_or_red(coloring, g, pi)
+        cert = chain_or_red(coloring, g, pi)
         if isinstance(cert, RedQnCert):
             return cert
         entries.append(cert)
@@ -482,6 +486,80 @@ def test_collect_chain_family_short_circuits_to_red():
     out = collect_chain_family(c, g, list(all_orderings(g)))
     assert isinstance(out, RedQnCert)
     assert check_red_qn(out, c) == []
+
+
+# ``collect_chain_family`` builds each level once per ordering suffix and
+# shares it between the orderings that end in that suffix.
+
+
+def test_shared_levels_give_the_per_ordering_family():
+    rng = random.Random(30)
+    first_reds = []
+    for n, k, density, _ in product(range(6), range(6), (Fraction(1, 8), Fraction(1, 2),
+                                                          Fraction(7, 8)), range(3)):
+        g = GroundSplit(n, k)
+        c = random_coloring(g, rng.randrange(1 << 32), density)
+        every = list(all_orderings(g))
+        for orderings in (every, _seeded_orderings(g, rng, max(1, len(every) // 2))):
+            family = collect_chain_family(c, g, orderings)
+            assert family == _per_vertex_chain_family(c, g, orderings, chain_or_red)
+            if isinstance(family, ChainFamily):
+                assert all(cert.ordering is pi for cert, pi in zip(family.entries, orderings))
+            elif orderings is every:
+                first_reds.append(next(i for i, pi in enumerate(orderings)
+                                       if isinstance(chain_or_red(c, g, pi), RedQnCert)))
+    # red families stop at their first red ordering, often past index 0
+    assert sum(i > 0 for i in first_reds) >= 10, first_reds
+
+
+def test_family_stops_at_a_later_red_ordering():
+    # n = 1, k = 3: every vertex blue but the two with Y-part {y_3}, so the
+    # orderings that start with y_3 (index 4 on) have no chain; ordering 4
+    # reads its level 2 from ordering 1, which ends in the same y_2
+    g = GroundSplit(1, 3)
+    c = Coloring(4, ((1 << 16) - 1) & ~(0b11 << 0b1000))
+    orderings = list(all_orderings(g))
+    assert [pi.order[0] for pi in orderings].index(3) == 4
+    assert orderings[4].order[2:] == orderings[1].order[2:]
+    family = collect_chain_family(c, g, orderings)
+    assert family == chain_or_red(c, g, orderings[4])
+    assert check_red_qn(family, c) == []
+    assert all(isinstance(chain_or_red(c, g, pi), BlueChainCert) for pi in orderings[:4])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_family_builds_each_level_once_per_suffix(monkeypatch, k):
+    g = GroundSplit(1, k)
+    builds = []
+    blue_level = extract._blue_level
+
+    def counting(*args):
+        builds.append(args[2])
+        return blue_level(*args)
+
+    monkeypatch.setattr(extract, "_blue_level", counting)
+    family = collect_chain_family(Coloring(g.total, (1 << (1 << g.total)) - 1), g,
+                                  list(all_orderings(g)))
+    assert len(family.entries) == math.factorial(k)
+    # levels 0 and 1 once per ordering, level i >= 2 once per suffix of k - i
+    want = 2 * math.factorial(k) + sum(math.factorial(k) // math.factorial(i)
+                                       for i in range(2, k + 1))
+    assert len(builds) == want
+    assert k < 6 or want == 1957
+
+
+def test_family_leaves_no_garbage_for_the_cycle_collector():
+    g = GroundSplit(2, 5)
+    c = random_coloring(g, 3, Fraction(7, 8))
+    orderings = list(all_orderings(g))
+    gc.collect()
+    gc.disable()
+    try:
+        family = collect_chain_family(c, g, orderings)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert isinstance(family, ChainFamily)
 
 
 # ------------------------------------------------------------ end classes

@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from array import array
 from collections import Counter
 from functools import lru_cache
@@ -398,6 +399,21 @@ def test_witness_search_statuses(kernel_backends):
         status, _, nodes = backend.witness_search(*args)
         # the deadline is read on every node, not every 1,024th
         assert status == STATUS_TIMEOUT and nodes < 1024
+
+
+@pytest.mark.parametrize("layers, nodes", [((6, 6, 6), None), ((1, 7, 7), 127)])
+def test_time_limit_interrupts_one_long_anchored_check(kernel_backends, layers, nodes):
+    """A blue check against K_{6,6,6} at N = 6 ran for minutes past its
+    limit; the one at node 127 against K_{1,7,7} is reached in well under a
+    second and runs for seconds.  Each twin reads the clock inside a check,
+    so the search stops near its limit, within that node."""
+    args = _search_args(make_complete_multipartite(layers), 1, 6, time_limit=1.0)
+    for backend in kernel_backends.values():
+        start = time.monotonic()
+        status, bits, used = backend.witness_search(*args)
+        assert status == STATUS_TIMEOUT and bits == 0
+        assert time.monotonic() - start < 5
+        assert nodes is None or used == nodes
 
 
 def test_symmetry_tables_do_not_change_results(kernel_backends):
