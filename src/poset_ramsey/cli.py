@@ -401,11 +401,10 @@ def _spindle_or_cover(family: extract.ChainFamily, spec: SpindleSpec,
     if isinstance(outcome, extract.SpindleCert):
         return extract.certificate_to_json(outcome)
     extract.distinctness_contradiction(cls, outcome)
-    _, masks = extract.class_induced_poset(cls)
     return json.dumps({
         "kind": "chain_cover",
         "ground": extract.ground_to_json_dict(split),
-        "chains": [[masks[e] for e in chain] for chain in outcome.chains],
+        "chains": [[cls.masks[e] for e in chain] for chain in outcome.chains],
         "class_size": len(cls.members),
         "note": (
             "largest end class is too small for the pigeonhole step; "

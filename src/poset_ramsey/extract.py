@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Sequence
 
 from poset_ramsey import _kernels
@@ -36,6 +37,7 @@ from poset_ramsey.posets import (
     Poset,
     SpindleSpec,
     dilworth_cover,
+    inclusion_poset,
     is_json_int,
     max_antichain,
     poset_from_json_dict,
@@ -89,6 +91,11 @@ class EndClass:
     indices: tuple[int, ...]
     end_vertices: tuple[int, ...]
     members: tuple[BlueChainCert, ...]
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Every member-chain vertex once, ascending: the class poset's elements."""
+        return tuple(sorted({v for cert in self.members for v in cert.vertices}))
 
 
 @dataclass(frozen=True)
@@ -174,8 +181,8 @@ def chain_or_red(
     the returned X-tuple is the lexicographic minimum among valid towers.
 
     The red copy is built, not searched for.  Let reach(i), for i in 1..k, be
-    the X-parts with a surviving superset at level i: the ``closed`` array
-    that prunes level i-1.  A survivor at level i has one at level i+1 above
+    the X-parts with a surviving superset at level i: built with level i, it
+    prunes level i-1.  A survivor at level i has one at level i+1 above
     it, so reach(i) grows with i, and no chain means nothing survives at level
     0.  Let d[X] be the number of levels i with X not in reach(i); then X is
     in reach(i) exactly for i > d[X], and X -> X|Y(d[X]) is a red induced
@@ -190,25 +197,35 @@ def chain_or_red(
 
     d is counted only when no chain exists.
     """
-    return _chain_or_red(coloring, g, pi, None)
+    return _chain_or_red(coloring, g, pi, {})
+
+
+def _superset_closure(survivors: bytearray, n: int) -> bytearray:
+    """reach of one level: closed[x] = 1 when x or a superset of x survives."""
+    closed = bytearray(survivors)
+    for b in range(n):
+        bit = 1 << b
+        for x in range(1 << n):
+            if not x & bit and closed[x | bit]:
+                closed[x] = 1
+    return closed
 
 
 def _chain_or_red(
     coloring: Coloring,
     g: GroundSplit,
     pi: YOrdering,
-    shared: dict[tuple[int, ...], bytearray] | None,
+    table: dict[tuple[int, ...], tuple[bytearray, bytearray]],
 ) -> BlueChainCert | RedQnCert:
     """:func:`chain_or_red`, reading levels that other orderings built.
 
-    Level i's survivors depend only on the suffix ``pi.order[i:]``, which
-    fixes the prefixes Y(i), ..., Y(k).  ``shared``, kept across the
-    orderings of one family, maps suffixes to survivors: the pass starts
-    below the deepest level found there and stores each level i >= 2 it
-    builds.  Levels 0 and 1 are never stored, since k - 1 entries fix the
-    ordering.  Other orderings read a stored array, so nothing writes to it
-    once stored.  Stored levels carry no reach, so when no chain exists the
-    plain pass runs again and builds the cube.
+    Level i's survivors and reach(i) depend only on the suffix
+    ``pi.order[i:]``, which fixes the prefixes Y(i), ..., Y(k).  ``table``,
+    kept across the orderings of one family, maps suffixes to (survivors,
+    reach) pairs: the pass reads each level found there and stores each
+    level i >= 2 it builds.  Levels 0 and 1 are never stored, since k - 1
+    entries fix the ordering, and level 0 needs no reach.  Other orderings
+    read a stored pair, so nothing writes to it once stored.
     """
     if coloring.dim != g.total:
         raise ValueError("coloring dimension differs from the ground split")
@@ -217,33 +234,23 @@ def _chain_or_red(
     x_count = 1 << g.n
     prefixes = [prefix_mask(pi, i) for i in range(g.k + 1)]
     feasible: list[bytearray] = [bytearray()] * (g.k + 1)
-    reach: list[bytearray] = []
-    top = g.k
-    if shared is not None:
-        while top >= 2 and (stored := shared.get(pi.order[top:])) is not None:
-            feasible[top] = stored
-            top -= 1
-    for level in range(top, -1, -1):
-        cur = _blue_level(coloring, g, prefixes[level])
-        if level < g.k:
-            # Superset reachability: closed[x] = some superset feasible above.
-            closed = bytearray(feasible[level + 1])
-            for b in range(g.n):
-                bit = 1 << b
+    reach: list[bytearray] = [bytearray()] * (g.k + 1)
+    for level in range(g.k, -1, -1):
+        suffix = pi.order[level:]
+        pair = table.get(suffix)
+        if pair is None:
+            cur = _blue_level(coloring, g, prefixes[level])
+            if level < g.k:
+                above = reach[level + 1]
                 for x in range(x_count):
-                    if not x & bit and closed[x | bit]:
-                        closed[x] = 1
-            for x in range(x_count):
-                cur[x] &= closed[x]
-            reach.append(closed)
-        feasible[level] = cur
-        if shared is not None and level >= 2:
-            shared[pi.order[level:]] = cur
+                    cur[x] &= above[x]
+            pair = (cur, _superset_closure(cur, g.n) if level else bytearray())
+            if level >= 2:
+                table[suffix] = pair
+        feasible[level], reach[level] = pair
     first = next((x for x in range(x_count) if feasible[0][x]), None)
     if first is None:
-        if shared is not None:
-            return _chain_or_red(coloring, g, pi, None)
-        images = tuple(x | prefixes[sum(1 - r[x] for r in reach)] for x in range(x_count))
+        images = tuple(x | prefixes[sum(1 - r[x] for r in reach[1:])] for x in range(x_count))
         return RedQnCert(split=g, dimension=g.n, images=images)
     xs = [first]
     for level in range(1, g.k + 1):
@@ -267,17 +274,19 @@ def collect_chain_family(
 
     Orderings are evaluated in index order, so the red certificate (when any
     ordering produces one) is always the lowest-index one.  Each level is
-    built once per ordering suffix and shared by the orderings that end in
-    it (see ``_chain_or_red``): 2·k! + sum over i = 2..k of k!/i! level
-    builds for all k! orderings, about e·k!, where one pass per ordering
-    takes (k+1)·k!.
+    built once per ordering suffix, with its reach, and shared by the
+    orderings that end in it (see ``_chain_or_red``): 2·k! + sum over
+    i = 2..k of k!/i! level builds for all k! orderings, about e·k!, where
+    one pass per ordering takes (k+1)·k!.  Each level built but level 0
+    takes one superset closure, stored with it as its reach, from which a
+    red ordering reads its cube without a second pass.
     """
     if len(set(o.order for o in orderings)) != len(orderings):
         raise ValueError("orderings must be pairwise distinct")
-    shared: dict[tuple[int, ...], bytearray] = {}
+    table: dict[tuple[int, ...], tuple[bytearray, bytearray]] = {}
     entries = []
     for pi in orderings:
-        cert = _chain_or_red(coloring, g, pi, shared)
+        cert = _chain_or_red(coloring, g, pi, table)
         if isinstance(cert, RedQnCert):
             return cert
         entries.append(cert)
@@ -315,25 +324,13 @@ def pigeonhole_end_classes(family: ChainFamily, r: int, t: int) -> list[EndClass
     return classes
 
 
-def _class_masks(cls: EndClass) -> tuple[int, ...]:
-    return tuple(sorted({v for cert in cls.members for v in cert.vertices}))
-
-
 def class_induced_poset(cls: EndClass) -> tuple[Poset, tuple[int, ...]]:
     """Poset induced by all member-chain vertices, with its mask table.
 
     Vertices shared between chains are deduplicated; element i of the poset
-    is ``masks[i]`` and the order is strict mask containment.
+    is ``cls.masks[i]`` and the order is strict mask containment.
     """
-    masks = _class_masks(cls)
-    up = []
-    for a in masks:
-        bits = 0
-        for j, b in enumerate(masks):
-            if a != b and pair_leq(a, b):
-                bits |= 1 << j
-        up.append(bits)
-    return Poset(len(masks), tuple(up)), masks
+    return inclusion_poset(cls.masks), cls.masks
 
 
 def assemble_spindle(
@@ -383,7 +380,7 @@ def distinctness_contradiction(cls: EndClass, cover: ChainCover) -> None:
     repeated labeling raises :class:`InvariantViolation`; a cover that does
     not partition the class poset raises ``ValueError``.
     """
-    masks = _class_masks(cls)
+    masks = cls.masks
     if sorted(e for chain in cover.chains for e in chain) != list(range(len(masks))):
         raise ValueError("cover does not partition the class poset")
     owner = {masks[e]: ci for ci, chain in enumerate(cover.chains) for e in chain}

@@ -206,14 +206,19 @@ def make_boolean_poset(n: int) -> Poset:
         raise ValueError(
             f"2^{n} elements exceed the relation budget ({size}^2 > {DEFAULT_RELATION_BUDGET})"
         )
+    return inclusion_poset(range(size))
+
+
+def inclusion_poset(masks: Sequence[int]) -> Poset:
+    """Strict inclusion among distinct bitmasks; element i is ``masks[i]``."""
     up = []
-    for i in range(size):
-        mask = 0
-        for j in range(size):
-            if i != j and (i & j) == i:
-                mask |= 1 << j
-        up.append(mask)
-    return Poset(size, tuple(up))
+    for a in masks:
+        bits = 0
+        for j, b in enumerate(masks):
+            if a != b and a & b == a:
+                bits |= 1 << j
+        up.append(bits)
+    return Poset(len(masks), tuple(up))
 
 
 def glue(p1: Poset, p2: Poset) -> Poset:

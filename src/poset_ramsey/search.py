@@ -54,14 +54,6 @@ def _relation_arrays(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return p.down, p.up
 
 
-def _colored_hosts(coloring: Coloring, color: Color) -> list[int]:
-    if color == "blue":
-        return coloring.blue_vertices()
-    if color == "red":
-        return coloring.red_vertices()
-    raise ValueError(f"color must be 'blue' or 'red', not {color!r}")
-
-
 def cannot_fit(target: Poset, dim: int) -> bool:
     """Whether no copy of the target fits in the dimension-dim lattice: its
     longest chain has more than dim + 1 elements, or its widest antichain
@@ -75,11 +67,14 @@ def cannot_fit(target: Poset, dim: int) -> bool:
 
 
 def find_colored_copy(target: Poset, coloring: Coloring, color: Color) -> Embedding | None:
-    """First induced copy of ``target`` among the vertices of one color."""
+    """First induced copy of ``target`` among the vertices of one color; the
+    vertices are listed only once the target is known to fit."""
     below, above = _relation_arrays(target)
-    hosts = _colored_hosts(coloring, color)
+    if color not in ("blue", "red"):
+        raise ValueError(f"color must be 'blue' or 'red', not {color!r}")
     if cannot_fit(target, coloring.dim):
         return None
+    hosts = coloring.blue_vertices() if color == "blue" else coloring.red_vertices()
     images = _kernels.find_induced_copy(below, above, hosts)
     return None if images is None else Embedding(tuple(images))
 

@@ -512,7 +512,7 @@ def test_shared_levels_give_the_per_ordering_family():
     assert sum(i > 0 for i in first_reds) >= 10, first_reds
 
 
-def test_family_stops_at_a_later_red_ordering():
+def test_family_stops_at_a_later_red_ordering(monkeypatch):
     # n = 1, k = 3: every vertex blue but the two with Y-part {y_3}, so the
     # orderings that start with y_3 (index 4 on) have no chain; ordering 4
     # reads its level 2 from ordering 1, which ends in the same y_2
@@ -521,23 +521,34 @@ def test_family_stops_at_a_later_red_ordering():
     orderings = list(all_orderings(g))
     assert [pi.order[0] for pi in orderings].index(3) == 4
     assert orderings[4].order[2:] == orderings[1].order[2:]
+    builds = _count_calls(monkeypatch, "_blue_level")
     family = collect_chain_family(c, g, orderings)
+    # the red ordering's cube reads the reach its pass read or built: 4 builds
+    # for ordering 0, 3 for orderings 1 and 3, 2 for orderings 2 and 4
+    assert len(builds) == 14
     assert family == chain_or_red(c, g, orderings[4])
     assert check_red_qn(family, c) == []
     assert all(isinstance(chain_or_red(c, g, pi), BlueChainCert) for pi in orderings[:4])
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """Patch ``extract.<name>`` to log each call's arguments in the list returned."""
+    calls = []
+    inner = getattr(extract, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(extract, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_family_builds_each_level_once_per_suffix(monkeypatch, k):
     g = GroundSplit(1, k)
-    builds = []
-    blue_level = extract._blue_level
-
-    def counting(*args):
-        builds.append(args[2])
-        return blue_level(*args)
-
-    monkeypatch.setattr(extract, "_blue_level", counting)
+    builds = _count_calls(monkeypatch, "_blue_level")
+    closures = _count_calls(monkeypatch, "_superset_closure")
     family = collect_chain_family(Coloring(g.total, (1 << (1 << g.total)) - 1), g,
                                   list(all_orderings(g)))
     assert len(family.entries) == math.factorial(k)
@@ -546,6 +557,9 @@ def test_family_builds_each_level_once_per_suffix(monkeypatch, k):
                                        for i in range(2, k + 1))
     assert len(builds) == want
     assert k < 6 or want == 1957
+    # each level built but level 0 takes one closure, stored with it as reach
+    assert len(closures) == want - math.factorial(k)
+    assert {5: 206, 6: 1237}.get(k, len(closures)) == len(closures)
 
 
 def test_family_leaves_no_garbage_for_the_cycle_collector():
@@ -602,6 +616,7 @@ def test_class_induced_poset_dedups():
     fam = collect_chain_family(c, g, list(all_orderings(g)))
     cls = pigeonhole_end_classes(fam, 1, 1)[0]
     poset, masks = class_induced_poset(cls)
+    assert masks is cls.masks
     assert len(masks) == len(set(masks))
     assert poset.size == len(masks)
     for i, a in enumerate(masks):
@@ -626,6 +641,60 @@ def test_end_vertices_comparable_to_whole_class():
                 for m in masks:
                     assert e == m or (e & m) == e or (e & m) == m
     assert seen >= 5
+
+
+def test_end_class_masks_are_the_sorted_member_vertices():
+    rng = random.Random(31)
+    for n, k in ((2, 3), (3, 3), (2, 4)):
+        g = GroundSplit(n, k)
+        fam = collect_chain_family(random_coloring(g, rng.randrange(1 << 32), Fraction(7, 8)),
+                                   g, list(all_orderings(g)))
+        if not isinstance(fam, ChainFamily):
+            continue
+        for cls in pigeonhole_end_classes(fam, 1, 1):
+            union = sorted({v for cert in cls.members for v in cert.vertices})
+            assert list(cls.masks) == union
+
+
+@pytest.mark.parametrize("n, shape", [(3, (2, 3, 2)), (4, (2, 2, 2))])
+def test_cli_cover_builds_the_class_poset_once(monkeypatch, tmp_path, capsys, n, shape):
+    """With r + t = k + 1 the largest class is one chain, and the CLI prints
+    its Dilworth cover in masks from the one class poset it builds."""
+    g = GroundSplit(n, 3)
+    spec = SpindleSpec(*shape)
+    calls = []
+
+    def counted(cls):
+        calls.append(cls)
+        return class_induced_poset(cls)
+
+    monkeypatch.setattr(extract, "class_induced_poset", counted)
+    covers = 0
+    for seed in range(4):
+        coloring = random_coloring(g, seed, Fraction(7, 8))
+        path = tmp_path / f"c{seed}.txt"
+        write_coloring(path, coloring)
+        calls.clear()
+        assert cli.main(["extract", "--what", "spindle", "--n", str(n), "--k", "3",
+                         "--coloring", str(path), "--shape", ",".join(map(str, shape))]) == 0
+        data = json.loads(capsys.readouterr().out)
+        if data["kind"] == "red_qn":
+            assert calls == []
+            continue
+        covers += 1
+        assert len(calls) == 1
+        cls = pigeonhole_end_classes(collect_chain_family(coloring, g, list(all_orderings(g))),
+                                     spec.r, spec.t)[0]
+        poset, masks = class_induced_poset(cls)
+        assert data == {
+            "kind": "chain_cover",
+            "ground": {"n": n, "k": 3},
+            "chains": [[masks[e] for e in chain] for chain in dilworth_cover(poset).chains],
+            "class_size": 1,
+            "note": ("largest end class is too small for the pigeonhole step; "
+                     "no spindle and no contradiction at this scale"),
+        }
+    assert covers >= 2
 
 
 # --------------------------------------------------------- spindle assembly
@@ -1063,6 +1132,17 @@ def test_check_witness_delegates_to_search():
     assert coloring is not None
     assert check_witness(w, coloring) == []
     assert check_witness(w, Coloring(2, 0)) != []
+
+
+def test_too_tall_witness_target_lists_no_host_vertices(monkeypatch):
+    # C_30 cannot fit in Q_24, so the blue side decides it before it lists
+    # the 2^24 blue vertices; the red side lists the (no) red ones
+    def refuse(self):
+        raise AssertionError("listed the blue vertices")
+
+    monkeypatch.setattr(Coloring, "blue_vertices", refuse)
+    cert = WitnessCert(dim=24, target_dimension=2, target=make_chain(30))
+    assert verify_certificate(cert, Coloring(24, (1 << (1 << 24)) - 1)) == []
 
 
 # --------------------------------------------------------------- totality

@@ -16,6 +16,7 @@ from poset_ramsey.posets import (
     dilworth_cover,
     find_poset_copy,
     glue,
+    inclusion_poset,
     make_antichain,
     make_boolean_poset,
     make_chain,
@@ -73,6 +74,18 @@ def test_boolean_poset_order_is_containment():
     for x in range(8):
         for y in range(8):
             assert b.lt(x, y) == (x != y and x & y == x)
+
+
+def test_inclusion_poset_is_strict_inclusion():
+    rng = random.Random(31)
+    for _ in range(60):
+        width = rng.randrange(1, 9)
+        masks = rng.sample(range(1 << width), rng.randrange(0, min(12, 1 << width) + 1))
+        p = inclusion_poset(masks)
+        assert p.size == len(masks)
+        for i, a in enumerate(masks):
+            want = {j for j, b in enumerate(masks) if a != b and a | b == b}
+            assert {j for j in range(p.size) if p.lt(i, j)} == want
 
 
 def test_complete_multipartite_layers():
